@@ -23,8 +23,8 @@ pub struct SuiteConfig {
     pub timeout: Option<Duration>,
     /// Keep only circuits with at most this many gates (`None` → all 18).
     pub max_gates: Option<usize>,
-    /// Intra-job sweep parallelism for the TurboMap-frt Φ probes
-    /// (`turbomap::Options::sweep_workers`: 1 serial, 0 auto). Mapped
+    /// Intra-job sweep parallelism for the TurboMap-frt and TurboMap Φ
+    /// probes (`turbomap::Options::sweep_workers`: 1 serial, 0 auto). Mapped
     /// results are byte-identical for every value.
     pub sweep_workers: usize,
     /// Warm-start Φ probes from the previous feasible labels

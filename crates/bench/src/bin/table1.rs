@@ -47,7 +47,7 @@
 //! clock period (the paper's §3.2 claim of 5–15 iterations).
 //!
 //! `--sweep-workers` sets the *intra*-job parallelism of the
-//! TurboMap-frt label sweeps (1 = serial, the default for artifact
+//! TurboMap-frt and TurboMap label sweeps (1 = serial, the default for artifact
 //! comparability; 0 = auto); any value yields the byte-identical
 //! canonical artifact. `--no-warm-start` disables probe warm-starting:
 //! mapped quality (Φ/LUT/FF) is unchanged but per-probe sweep counts

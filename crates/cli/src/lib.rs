@@ -67,8 +67,8 @@ pub struct Args {
     pub pack: bool,
     /// Run structural hashing on the mapped result.
     pub strash: bool,
-    /// Intra-job sweep parallelism for turbomap-frt (1 = serial,
-    /// 0 = auto). Results are identical for every setting.
+    /// Intra-job sweep parallelism for turbomap-frt and turbomap
+    /// (1 = serial, 0 = auto). Results are identical for every setting.
     pub sweep_workers: usize,
     /// Partition-and-conquer mapping: `None` off, `Some(0)` auto (one
     /// block per ~100k gates), `Some(n)` a fixed block count.
@@ -246,8 +246,9 @@ USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify
   --pack       LUT packing area post-pass on the result
   --strash     structural hashing (duplicate-logic sweep) on the result
   --sweep-workers N
-               threads for the turbomap-frt label sweeps (default 1,
-               0 = all cores); any N gives byte-identical results
+               threads for the turbomap-frt and turbomap label sweeps
+               (default 1, 0 = all cores); any N gives byte-identical
+               results
   --partitions K|auto
                partition-and-conquer: split the design at FF boundaries
                into K blocks (auto = one per ~100k gates), map each with
@@ -870,8 +871,10 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
             }
         }
         Algorithm::TurboMap => {
-            let r = turbomap::turbomap_general(&source, turbomap::Options::with_k(args.k))
-                .map_err(|e| e.to_string())?;
+            let mut opts = turbomap::Options::with_k(args.k);
+            opts.sweep_workers = args.sweep_workers;
+            opts.warm_start = !args.no_warm_start;
+            let r = turbomap::turbomap_general(&source, opts).map_err(|e| e.to_string())?;
             writeln!(
                 report,
                 "turbomap: Φ = {}, {} LUTs, {} FFs{}",

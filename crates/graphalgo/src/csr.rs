@@ -42,17 +42,32 @@ impl Csr {
     ///
     /// Panics if an endpoint is out of range.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Csr {
+        Csr::from_edge_fn(n, || edges.iter().copied())
+    }
+
+    /// [`Csr::from_edges`] without a materialised edge list: `edges` is
+    /// called twice, once to count the rows and once to fill them, and
+    /// must yield the same sequence both times. Suits edge sets that are
+    /// cheap to regenerate but large to store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
+    pub fn from_edge_fn<I: Iterator<Item = (usize, usize)>>(
+        n: usize,
+        mut edges: impl FnMut() -> I,
+    ) -> Csr {
         let mut offsets = vec![0u32; n + 1];
-        for &(u, v) in edges {
+        for (u, v) in edges() {
             assert!(u < n && v < n, "edge endpoint out of range");
             offsets[u + 1] += 1;
         }
         for u in 0..n {
             offsets[u + 1] += offsets[u];
         }
-        let mut targets = vec![0u32; edges.len()];
+        let mut targets = vec![0u32; offsets[n] as usize];
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for &(u, v) in edges {
+        for (u, v) in edges() {
             targets[cursor[u] as usize] = v as u32;
             cursor[u] += 1;
         }

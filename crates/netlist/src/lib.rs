@@ -73,7 +73,7 @@ pub use equiv::{
     EXHAUSTIVE_BITS_BOUND,
 };
 pub use error::NetlistError;
-pub use prune::prune_dead;
+pub use prune::{po_reachable, prune_dead};
 pub use sim::Simulator;
 pub use stats::{CircuitStats, ModelCounts};
 pub use strash::{strash, StrashReport};

@@ -17,20 +17,7 @@ use crate::error::NetlistError;
 /// Propagates construction errors (none expected for valid inputs).
 pub fn prune_dead(c: &Circuit) -> Result<Circuit, NetlistError> {
     let n = c.num_nodes();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = c.outputs().iter().map(|v| v.index()).collect();
-    for &s in &stack {
-        live[s] = true;
-    }
-    while let Some(u) = stack.pop() {
-        for &e in c.node(NodeId(u as u32)).fanin() {
-            let f = c.edge(e).from().index();
-            if !live[f] {
-                live[f] = true;
-                stack.push(f);
-            }
-        }
-    }
+    let live = po_reachable(c);
     let mut out = Circuit::new(c.name().to_string());
     let mut map: Vec<Option<NodeId>> = vec![None; n];
     for v in c.node_ids() {
@@ -58,6 +45,25 @@ pub fn prune_dead(c: &Circuit) -> Result<Circuit, NetlistError> {
     Ok(out)
 }
 
+/// True per node when it reaches some primary output (POs included).
+pub fn po_reachable(c: &Circuit) -> Vec<bool> {
+    let mut live = vec![false; c.num_nodes()];
+    let mut stack: Vec<usize> = c.outputs().iter().map(|v| v.index()).collect();
+    for &s in &stack {
+        live[s] = true;
+    }
+    while let Some(u) = stack.pop() {
+        for &e in c.node(NodeId(u as u32)).fanin() {
+            let f = c.edge(e).from().index();
+            if !live[f] {
+                live[f] = true;
+                stack.push(f);
+            }
+        }
+    }
+    live
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +84,8 @@ mod tests {
         c.connect(a, d1, vec![]).unwrap();
         c.connect(d2, d1, vec![]).unwrap();
         c.connect(d1, d2, vec![Bit::Zero]).unwrap();
+        let live = po_reachable(&c);
+        assert!(live[g.index()] && live[a.index()] && !live[d1.index()] && !live[d2.index()]);
         let pruned = prune_dead(&c).unwrap();
         assert_eq!(pruned.num_gates(), 1);
         assert!(pruned.find("g").is_some());

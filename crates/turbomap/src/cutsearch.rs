@@ -12,8 +12,11 @@
 //! * nodes whose value `l^s(u) − Φ·w + 1` exceeds the height bound are
 //!   **uncuttable** (uncapacitated): they may sit strictly inside `X` or
 //!   inside the cone, but never on the boundary;
-//! * everything else has unit capacity; flow ≤ K ⟺ a K-cut exists, and the
-//!   residual min-cut is returned.
+//! * everything else has unit capacity; flow ≤ K ⟺ a K-cut exists.
+//!
+//! Label updates only need that answer, or the least weight bound that
+//! gives it ([`min_cut_weight_with`]); only mapping generation extracts
+//! the residual min-cut itself ([`find_cut_with`]).
 
 use crate::expand::{ExpNode, ExpandedCircuit};
 use graphalgo::NodeCutNetwork;
@@ -74,9 +77,8 @@ pub fn find_cut(
     )
 }
 
-/// [`find_cut`] with a caller-provided arena — the hot-path form used by
-/// the label sweeps, which reuse one [`CutScratch`] per thread across all
-/// queries of a run.
+/// [`find_cut`] with a caller-provided arena — the form mapping
+/// generation uses, reusing one [`CutScratch`] across all gates.
 pub fn find_cut_with(
     scratch: &mut CutScratch,
     exp: &ExpandedCircuit,
@@ -86,6 +88,30 @@ pub fn find_cut_with(
     weight_bound: u64,
     k: usize,
 ) -> Option<ExpCut> {
+    if !has_cut_with(scratch, exp, ls, phi, height_bound, weight_bound, k) {
+        return None;
+    }
+    let cut = scratch.net.min_cut_near_sink(exp.len());
+    let signals: Vec<ExpNode> = cut.cut_nodes.iter().map(|&i| exp.nodes[i]).collect();
+    debug_assert!(!signals.is_empty() && signals.len() <= k);
+    debug_assert!(signals
+        .iter()
+        .all(|s| { ls[s.node.index()] - phi * (s.weight as i64) < height_bound }));
+    Some(ExpCut { signals })
+}
+
+/// Whether [`find_cut_with`] would find a cut, without extracting it:
+/// one bounded max-flow, leaving the residual network in `scratch`.
+/// This is the question every label update asks.
+pub(crate) fn has_cut_with(
+    scratch: &mut CutScratch,
+    exp: &ExpandedCircuit,
+    ls: &[i64],
+    phi: i64,
+    height_bound: i64,
+    weight_bound: u64,
+    k: usize,
+) -> bool {
     let n = exp.len();
     debug_assert!(!exp.is_leaf[exp.root()]);
     let _span = engine::trace::span_with(
@@ -120,74 +146,45 @@ pub fn find_cut_with(
         }
     }
     let result = net.max_flow(source, root, k as u32);
-    if result.exceeded_limit {
-        return None;
+    // Zero flow means the root was unreachable from every leaf (an empty
+    // cut), which cannot happen for PI-reachable circuits; it counts as
+    // no cut.
+    if result.exceeded_limit || result.flow == 0 {
+        return false;
     }
-    let cut = net.min_cut_near_sink(source);
-    let signals: Vec<ExpNode> = cut.cut_nodes.iter().map(|&i| exp.nodes[i]).collect();
-    debug_assert!(signals.len() <= k);
-    debug_assert!(signals
-        .iter()
-        .all(|s| { ls[s.node.index()] - phi * (s.weight as i64) < height_bound }));
-    // A cut of zero signals means the root was unreachable from every
-    // leaf, which cannot happen for PI-reachable circuits.
-    if signals.is_empty() {
-        return None;
-    }
-    engine::telemetry::record(engine::hist::Metric::CutSize, signals.len() as u64);
-    engine::trace::event1("cut_found", "size", signals.len() as u64);
-    Some(ExpCut { signals })
+    // Unit node capacities: the min cut has exactly `flow` nodes.
+    engine::telemetry::record(engine::hist::Metric::CutSize, u64::from(result.flow));
+    engine::trace::event1("cut_found", "size", u64::from(result.flow));
+    true
 }
 
-/// Finds the minimum cut-weight `w ∈ [0, weight_cap]` for which a
-/// K-feasible cut of height ≤ `height_bound` exists, together with such a
-/// cut (binary search on the weight, §3.2).
-pub fn min_weight_cut(
-    exp: &ExpandedCircuit,
-    ls: &[i64],
-    phi: i64,
-    height_bound: i64,
-    weight_cap: u64,
-    k: usize,
-) -> Option<(u64, ExpCut)> {
-    min_weight_cut_with(
-        &mut CutScratch::new(),
-        exp,
-        ls,
-        phi,
-        height_bound,
-        weight_cap,
-        k,
-    )
-}
-
-/// [`min_weight_cut`] with a caller-provided arena (see [`find_cut_with`]).
-pub fn min_weight_cut_with(
+/// The minimum cut-weight `w ∈ [0, cap]` for which `F_v^w` has a
+/// K-feasible cut of height ≤ `height_bound`, or `None` when no weight up
+/// to `cap` admits one (§3.2).
+///
+/// Feasibility is monotone in the weight bound, so this is a binary
+/// search over `[0, cap + 1]` with `cap + 1` as the "no cut" sentinel:
+/// `⌈log2(cap + 2)⌉` flows, no separate existence flow, and no cut is
+/// extracted — callers need only the weight.
+pub fn min_cut_weight_with(
     scratch: &mut CutScratch,
     exp: &ExpandedCircuit,
     ls: &[i64],
     phi: i64,
     height_bound: i64,
-    weight_cap: u64,
+    cap: u64,
     k: usize,
-) -> Option<(u64, ExpCut)> {
-    // Existence at the full bound first.
-    find_cut_with(scratch, exp, ls, phi, height_bound, weight_cap, k)?;
-    let mut lo = 0u64;
-    let mut hi = weight_cap;
+) -> Option<u64> {
+    let (mut lo, mut hi) = (0u64, cap.saturating_add(1));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if find_cut_with(scratch, exp, ls, phi, height_bound, mid, k).is_some() {
+        if has_cut_with(scratch, exp, ls, phi, height_bound, mid, k) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    // `lo` is the minimal feasible weight bound; a cut found under a
-    // larger probe bound may have heavier cone nodes, so re-extract at
-    // exactly `lo`.
-    let cut = find_cut_with(scratch, exp, ls, phi, height_bound, lo, k).expect("lo is feasible");
-    Some((lo, cut))
+    (lo <= cap).then_some(lo)
 }
 
 #[cfg(test)]
@@ -283,17 +280,26 @@ mod tests {
         assert!(find_cut(&exp, &ls, 1, 0, 0, 3).is_none());
     }
 
+    fn min_weight(
+        exp: &ExpandedCircuit,
+        ls: &[i64],
+        phi: i64,
+        height: i64,
+        cap: u64,
+        k: usize,
+    ) -> Option<u64> {
+        min_cut_weight_with(&mut CutScratch::new(), exp, ls, phi, height, cap, k)
+    }
+
     #[test]
     fn min_weight_prefers_small() {
         // Figure 4 circuit: at K=3 a weight-0 cut {a^0, b^1} exists, so
-        // min_weight_cut must return weight 0 even though weight 1 also
-        // works.
+        // the query must return weight 0 even though weight 1 also works.
         let (c, cc) = fig_circuit(true);
         let exp = ExpandedCircuit::build(&c, cc, 1, 1000).unwrap();
         let ls = zero_labels(&c);
-        let (w, cut) = min_weight_cut(&exp, &ls, 10, 100, 1, 3).unwrap();
-        assert_eq!(w, 0);
-        assert!(cut.signals.len() <= 3);
+        assert_eq!(min_weight(&exp, &ls, 10, 100, 1, 3), Some(0));
+        assert!(find_cut(&exp, &ls, 10, 100, 0, 3).unwrap().signals.len() <= 3);
     }
 
     #[test]
@@ -305,8 +311,10 @@ mod tests {
         let mut ls = zero_labels(&c);
         ls[c.find("a").unwrap().index()] = 1_000;
         ls[c.find("b").unwrap().index()] = 1_000;
-        let (w, cut) = min_weight_cut(&exp, &ls, 10, 5, 1, 2).unwrap();
-        assert_eq!(w, 1);
+        assert_eq!(min_weight(&exp, &ls, 10, 5, 1, 2), Some(1));
+        // A cap below the minimal weight is the "no cut" answer.
+        assert_eq!(min_weight(&exp, &ls, 10, 5, 0, 2), None);
+        let cut = find_cut(&exp, &ls, 10, 5, 1, 2).unwrap();
         assert_eq!(cut.signals.len(), 2);
         let i1 = c.find("i1").unwrap();
         assert!(cut.signals.iter().all(|s| s.node == i1));
@@ -336,8 +344,8 @@ mod tests {
                 find_cut(&exp1, &ls1, 10, 100, 0, 2)
             );
             assert_eq!(
-                min_weight_cut_with(&mut scratch, &exp2, &ls2, 10, 5, 1, 3),
-                min_weight_cut(&exp2, &ls2, 10, 5, 1, 3)
+                min_cut_weight_with(&mut scratch, &exp2, &ls2, 10, 5, 1, 3),
+                min_weight(&exp2, &ls2, 10, 5, 1, 3)
             );
         }
     }
@@ -441,5 +449,53 @@ mod validity_tests {
                 }
             }
         }
+    }
+
+    /// The sentinel binary search must agree with the definition: the
+    /// smallest weight `w ≤ cap` at which [`find_cut_with`] finds a cut,
+    /// by linear scan — including `cap = 0` and heights no weight meets.
+    #[test]
+    fn min_cut_weight_matches_linear_scan() {
+        let mut rng = Rng64::new(0x3E16);
+        let mut scratch = CutScratch::new();
+        let (mut found, mut none, mut cap0) = (0, 0, 0);
+        for trial in 0..40 {
+            let c = workloads::generate_fsm(&workloads::FsmSpec {
+                name: format!("mw{trial}"),
+                states: rng.range_usize(2, 7),
+                inputs: rng.range_usize(1, 4),
+                decoded: 2,
+                outputs: 1,
+                encoding: if rng.chance(0.5) {
+                    workloads::Encoding::OneHot
+                } else {
+                    workloads::Encoding::Binary
+                },
+                registered_inputs: rng.chance(0.5),
+                seed: trial,
+            });
+            let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 4)).collect();
+            let phi = rng.range_i64(1, 4);
+            let k = rng.range_usize(2, 6);
+            let hb = rng.range_i64(-2, 6);
+            let horizon = 3u64;
+            for v in c.gate_ids().take(8) {
+                let exp = match ExpandedCircuit::build(&c, v, horizon, 50_000) {
+                    Some(e) => e,
+                    None => continue,
+                };
+                for cap in 0..=horizon {
+                    let scan = (0..=cap)
+                        .find(|&w| find_cut_with(&mut scratch, &exp, &ls, phi, hb, w, k).is_some());
+                    let got = min_cut_weight_with(&mut scratch, &exp, &ls, phi, hb, cap, k);
+                    assert_eq!(got, scan, "trial {trial} gate {v:?} cap {cap}");
+                    found += usize::from(got.is_some());
+                    // No weight at all admits a cut.
+                    none += usize::from(got.is_none() && cap == horizon);
+                    cap0 += usize::from(cap == 0);
+                }
+            }
+        }
+        assert!(found > 0 && none > 0 && cap0 > 0, "{found} {none} {cap0}");
     }
 }

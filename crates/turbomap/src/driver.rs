@@ -1,13 +1,12 @@
 //! The TurboMap-frt algorithm (Section 3) and the TurboMap general-
 //! retiming baseline (Cong & Wu, ICCD'96), end to end.
 //!
-//! Both drivers binary-search the clock period `Φ ∈ [1, Φ_upper]` — the
-//! upper bound coming from a quick FlowMap-frt run (footnote 4 of the
-//! paper) — with their respective label computations as the feasibility
-//! oracle, then generate the mapping at `Φ_min`.
+//! Both drivers run one search: binary search over the clock period
+//! `Φ ∈ [1, Φ_upper]` — the upper bound coming from a quick FlowMap-frt
+//! run (footnote 4 of the paper) — with their label rule as the
+//! feasibility oracle, then mapping generation at `Φ_min`.
 
-use crate::frtcheck::FrtContext;
-use crate::gencheck::GeneralContext;
+use crate::frtcheck::{FrtContext, LabelPairs};
 use crate::generate::{generate_mapping, GenerateError};
 use engine::telemetry::{time_phase, Phase};
 use netlist::Circuit;
@@ -28,17 +27,18 @@ pub struct Options {
     /// small windows in practice; 1 reproduces its reported behaviour
     /// (see DESIGN.md).
     pub general_horizon: u64,
-    /// Intra-job parallelism of the FRTcheck label sweeps: total compute
-    /// threads per Φ probe. `1` (the default) runs serially; `0` resolves
-    /// to the machine's available parallelism. Every setting produces
-    /// byte-identical results — the sweeps are level-synchronized and
-    /// apply updates in a fixed order (see DESIGN.md).
+    /// Intra-job parallelism of the label sweeps (TurboMap-frt and
+    /// TurboMap alike): total compute threads per Φ probe. `1` (the
+    /// default) runs serially; `0` resolves to the machine's available
+    /// parallelism. Every setting produces byte-identical results — the
+    /// sweeps are level-synchronized and apply updates in a fixed order
+    /// (see DESIGN.md).
     pub sweep_workers: usize,
-    /// Seed each Φ probe's `l^s` lower bounds from the best feasible
-    /// probe so far (sound: the labels are pointwise non-decreasing as Φ
-    /// shrinks, so they remain lower bounds). Skipped sweeps show up in
-    /// the `sweeps_saved` counter. On by default; the switch exists as a
-    /// kill switch and for A/B measurement.
+    /// Seed each Φ probe's labels from the best feasible probe so far, in
+    /// both drivers (sound: under either rule the labels are pointwise
+    /// non-decreasing as Φ shrinks, so they remain lower bounds). Skipped
+    /// sweeps show up in the `sweeps_saved` counter. On by default; the
+    /// switch exists as a kill switch and for A/B measurement.
     pub warm_start: bool,
 }
 
@@ -211,86 +211,109 @@ pub fn prepare(c: &Circuit, k: usize) -> Result<Circuit, TurboMapError> {
 ///
 /// See [`TurboMapError`]; initial state computation cannot fail here.
 pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
+    search_and_generate(c, opts, false)
+}
+
+/// TurboMap (general retiming baseline): optimal mapping with
+/// unrestricted retiming; initial states need backward justification and
+/// may be lost (`initial_state_lost` — the paper's `⋆`).
+///
+/// # Errors
+///
+/// See [`TurboMapError`].
+pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
+    search_and_generate(c, opts, true)
+}
+
+/// Both drivers: the Φ binary search under the FRT or the general label
+/// rule, then generation at `Φ_min` (or the FlowMap-frt network when it
+/// ties).
+fn search_and_generate(
+    c: &Circuit,
+    opts: Options,
+    general: bool,
+) -> Result<TurboMapResult, TurboMapError> {
     #[cfg(debug_assertions)]
     let backward_before =
         engine::telemetry::snapshot().counter(engine::telemetry::Counter::BackwardMoves);
+    let (target, name) = if general {
+        ("turbomap::general", format!("{}_tm", c.name()))
+    } else {
+        ("turbomap::frt", format!("{}_tmfrt", c.name()))
+    };
     let bounded = prepare(c, opts.k)?;
     // Upper bound: FlowMap-frt (cheap, feasible by construction).
     let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
     let upper = baseline.period.max(1);
     let ctx = {
         let _t = time_phase(Phase::Search);
-        FrtContext::new(&bounded, opts.k, opts.weight_horizon)
+        if general {
+            FrtContext::general(&bounded, opts.k, opts.general_horizon)
+        } else {
+            FrtContext::new(&bounded, opts.k, opts.weight_horizon)
+        }
     };
     let workers = opts.resolved_sweep_workers();
     let mut iterations = Vec::new();
     let mut lo = 1u64;
     let mut hi = upper;
     let phi_span = engine::trace::span1("phi_search", "upper", upper);
-    // Confirm the upper bound under FRTcheck itself (it must be feasible;
-    // keep its labels as fallback).
-    let top = {
-        let _t = time_phase(Phase::Label);
-        let _p = engine::trace::span1("phi_probe", "phi", upper);
-        ctx.check_opts(upper, None, workers)
+    let mut probe = |phi: u64, warm: Option<&LabelPairs>| {
+        let res = {
+            let _t = time_phase(Phase::Label);
+            let _p = engine::trace::span1("phi_probe", "phi", phi);
+            ctx.check_opts(phi, warm, workers)
+        };
+        check_cancelled()?;
+        log_probe(target, phi, res.feasible, res.iterations);
+        iterations.push((phi, res.iterations));
+        Ok::<_, TurboMapError>(res)
     };
-    check_cancelled()?;
-    log_probe("turbomap::frt", upper, top.feasible, top.iterations);
-    iterations.push((upper, top.iterations));
+    // Confirm the upper bound under the label check itself (it must be
+    // feasible; keep its labels as fallback).
+    let top = probe(upper, None)?;
     if !top.feasible {
         return Err(TurboMapError::NoFeasiblePeriod);
     }
     // Best feasible probe so far: its period, labels (the mapping seed
     // and the warm-start donor) and sweep count (the warm-start savings
     // baseline).
-    let mut best = Some((upper, top.labels, top.iterations));
+    let mut best = (upper, top.labels, top.iterations);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let res = {
-            let _t = time_phase(Phase::Label);
-            let _p = engine::trace::span1("phi_probe", "phi", mid);
-            // Every remaining probe sits strictly below the best feasible
-            // Φ (the search keeps `hi` at it), so its labels are a sound
-            // warm seed for `mid`.
-            let warm = if opts.warm_start {
-                best.as_ref().map(|(_, l, _)| l)
-            } else {
-                None
-            };
-            ctx.check_opts(mid, warm, workers)
-        };
-        check_cancelled()?;
-        log_probe("turbomap::frt", mid, res.feasible, res.iterations);
+        // Every remaining probe sits strictly below the best feasible Φ
+        // (the search keeps `hi` at it), so its labels are a sound warm
+        // seed for `mid`.
+        let res = probe(mid, opts.warm_start.then_some(&best.1))?;
         if opts.warm_start {
-            if let Some((_, _, seed_iters)) = &best {
-                // Estimate: a cold probe re-derives at least what the
-                // seeding probe needed; count the sweeps the warm seed
-                // let this probe skip relative to that.
-                engine::telemetry::count(
-                    engine::telemetry::Counter::SweepsSaved,
-                    (seed_iters.saturating_sub(res.iterations)) as u64,
-                );
-            }
+            // Estimate: a cold probe re-derives at least what the seeding
+            // probe needed; count the sweeps the warm seed let this probe
+            // skip relative to that.
+            engine::telemetry::count(
+                engine::telemetry::Counter::SweepsSaved,
+                best.2.saturating_sub(res.iterations) as u64,
+            );
         }
-        iterations.push((mid, res.iterations));
         if res.feasible {
-            best = Some((mid, res.labels, res.iterations));
+            best = (mid, res.labels, res.iterations);
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     drop(phi_span);
-    let (phi, labels, _) = best.ok_or(TurboMapError::NoFeasiblePeriod)?;
+    let (phi, labels, _) = best;
     debug_assert_eq!(phi, lo.min(upper));
 
     // At equal Φ the FlowMap-frt network is itself an optimal FRT mapping
-    // solution and block-wise generation wastes no area on duplication —
-    // take it (the paper's near-identical LUT counts at equal Φ suggest
-    // the authors' generation behaves the same way).
+    // solution with initial state by construction, and block-wise
+    // generation wastes no area on duplication — take it (the paper's
+    // near-identical LUT counts at equal Φ suggest the authors'
+    // generation behaves the same way; a general-retiming run cannot
+    // improve on it either).
     if phi == baseline.period {
         let mut circuit = baseline.circuit;
-        circuit.set_name(format!("{}_tmfrt", c.name()));
+        circuit.set_name(name);
         #[cfg(debug_assertions)]
         debug_assert_no_backward_moves(backward_before, &baseline.moves);
         return Ok(TurboMapResult {
@@ -314,102 +337,12 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
         .keys()
         .map(|&v| (v, ceil_div(labels.ls[v.index()], phi as i64) - 1))
         .collect();
-    let gen = generate_mapping(&bounded, &roots, &rr, &format!("{}_tmfrt", c.name()), false)?;
-    debug_assert!(!gen.initial_state_lost);
-    #[cfg(debug_assertions)]
-    debug_assert_no_backward_moves(backward_before, &gen.moves);
-    let achieved = gen.circuit.clock_period().map_err(TurboMapError::Invalid)?;
-    debug_assert!(achieved <= phi, "generated period {achieved} > Φ {phi}");
-    let sharing_conflict = !gen.circuit.sharing_consistent();
-    Ok(TurboMapResult {
-        period: achieved.min(phi),
-        luts: gen.circuit.num_gates(),
-        ffs: gen.circuit.ff_count_shared(),
-        iterations,
-        moves: gen.moves,
-        initial_state_lost: gen.initial_state_lost,
-        sharing_conflict,
-        circuit: gen.circuit,
-    })
-}
-
-/// TurboMap (general retiming baseline): optimal mapping with
-/// unrestricted retiming; initial states need backward justification and
-/// may be lost (`initial_state_lost` — the paper's `⋆`).
-///
-/// # Errors
-///
-/// See [`TurboMapError`].
-pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
-    let bounded = prepare(c, opts.k)?;
-    let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
-    let upper = baseline.period.max(1);
-    let ctx = {
-        let _t = time_phase(Phase::Search);
-        GeneralContext::new(&bounded, opts.k, opts.general_horizon)
-    };
-    let mut iterations = Vec::new();
-    let mut lo = 1u64;
-    let mut hi = upper;
-    let phi_span = engine::trace::span1("phi_search", "upper", upper);
-    let top = {
-        let _t = time_phase(Phase::Label);
-        let _p = engine::trace::span1("phi_probe", "phi", upper);
-        ctx.check(upper)
-    };
-    check_cancelled()?;
-    log_probe("turbomap::general", upper, top.feasible, top.iterations);
-    iterations.push((upper, top.iterations));
-    if !top.feasible {
-        return Err(TurboMapError::NoFeasiblePeriod);
+    let gen = generate_mapping(&bounded, &roots, &rr, &name, general)?;
+    if !general {
+        debug_assert!(!gen.initial_state_lost);
+        #[cfg(debug_assertions)]
+        debug_assert_no_backward_moves(backward_before, &gen.moves);
     }
-    let mut best = Some((upper, top.labels));
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let res = {
-            let _t = time_phase(Phase::Label);
-            let _p = engine::trace::span1("phi_probe", "phi", mid);
-            ctx.check(mid)
-        };
-        check_cancelled()?;
-        log_probe("turbomap::general", mid, res.feasible, res.iterations);
-        iterations.push((mid, res.iterations));
-        if res.feasible {
-            best = Some((mid, res.labels));
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    drop(phi_span);
-    let (phi, labels) = best.ok_or(TurboMapError::NoFeasiblePeriod)?;
-    if phi == baseline.period {
-        // The baseline network achieves the same period with guaranteed
-        // initial state — a general-retiming run cannot improve on it.
-        let mut circuit = baseline.circuit;
-        circuit.set_name(format!("{}_tm", c.name()));
-        return Ok(TurboMapResult {
-            period: phi,
-            luts: circuit.num_gates(),
-            ffs: circuit.ff_count_shared(),
-            iterations,
-            moves: baseline.moves,
-            initial_state_lost: false,
-            sharing_conflict: !circuit.sharing_consistent(),
-            circuit,
-        });
-    }
-    let cuts = {
-        let _t = time_phase(Phase::Search);
-        ctx.final_cuts(&labels, phi)
-    };
-    let _t_gen = time_phase(Phase::Generate);
-    let roots = crate::generate::collect_roots(&bounded, &cuts)?;
-    let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
-        .keys()
-        .map(|&v| (v, ceil_div(labels[v.index()], phi as i64) - 1))
-        .collect();
-    let gen = generate_mapping(&bounded, &roots, &rr, &format!("{}_tm", c.name()), true)?;
     let achieved = gen.circuit.clock_period().map_err(TurboMapError::Invalid)?;
     debug_assert!(achieved <= phi, "generated period {achieved} > Φ {phi}");
     let sharing_conflict = !gen.circuit.sharing_consistent();
@@ -534,44 +467,62 @@ mod tests {
         })
     }
 
-    /// The tentpole's correctness bar: whatever the sweep-worker count
-    /// and whether probes are warm-started, `turbomap_frt` must produce
-    /// the byte-identical mapped circuit — same Φ, LUTs, FFs, initial
-    /// states, names. Only the per-probe sweep counts may differ (warm
-    /// starts exist to shrink them).
+    type Driver = fn(&Circuit, Options) -> Result<TurboMapResult, TurboMapError>;
+
+    /// Both drivers, by name.
+    const DRIVERS: [(&str, Driver); 2] = [
+        ("turbomap_frt", turbomap_frt),
+        ("turbomap_general", turbomap_general),
+    ];
+
+    /// The correctness bar of the shared search: whatever the
+    /// sweep-worker count and whether probes are warm-started, both
+    /// drivers must produce the byte-identical mapped circuit — same Φ,
+    /// LUTs, FFs, initial states, names. Only the per-probe sweep counts
+    /// may differ (warm starts exist to shrink them).
     #[test]
     fn results_identical_across_workers_and_warm_start() {
         let c = medium_fsm();
-        let mut opts = Options::with_k(4);
-        let baseline = turbomap_frt(&c, opts).unwrap();
-        let reference = netlist::write_blif(&baseline.circuit);
-        for (workers, warm) in [(1, false), (3, true), (3, false), (0, true)] {
-            opts.sweep_workers = workers;
-            opts.warm_start = warm;
-            let res = turbomap_frt(&c, opts).unwrap();
-            let tag = format!("workers={workers} warm={warm}");
-            assert_eq!(res.period, baseline.period, "{tag}");
-            assert_eq!(res.luts, baseline.luts, "{tag}");
-            assert_eq!(res.ffs, baseline.ffs, "{tag}");
-            assert_eq!(res.star(), baseline.star(), "{tag}");
-            assert_eq!(netlist::write_blif(&res.circuit), reference, "{tag}");
+        for (name, driver) in DRIVERS {
+            let mut opts = Options::with_k(4);
+            let baseline = driver(&c, opts).unwrap();
+            let reference = netlist::write_blif(&baseline.circuit);
+            for (workers, warm) in [(1, false), (3, true), (3, false), (0, true)] {
+                opts.sweep_workers = workers;
+                opts.warm_start = warm;
+                let res = driver(&c, opts).unwrap();
+                let tag = format!("{name} workers={workers} warm={warm}");
+                assert_eq!(res.period, baseline.period, "{tag}");
+                assert_eq!(res.luts, baseline.luts, "{tag}");
+                assert_eq!(res.ffs, baseline.ffs, "{tag}");
+                assert_eq!(res.star(), baseline.star(), "{tag}");
+                assert_eq!(netlist::write_blif(&res.circuit), reference, "{tag}");
+            }
         }
     }
 
-    /// Warm starts must never probe *more* periods and still report the
-    /// same feasibility frontier (same probed Φ sequence).
+    /// Warm starts must never probe *more* periods or spend more sweeps,
+    /// and must report the same feasibility frontier (same probed Φ
+    /// sequence), under either label rule.
     #[test]
     fn warm_start_probes_the_same_periods() {
         let c = medium_fsm();
-        let mut opts = Options::with_k(4);
-        opts.warm_start = false;
-        let cold = turbomap_frt(&c, opts).unwrap();
-        opts.warm_start = true;
-        let warm = turbomap_frt(&c, opts).unwrap();
-        let phis = |r: &TurboMapResult| r.iterations.iter().map(|&(p, _)| p).collect::<Vec<_>>();
-        assert_eq!(phis(&warm), phis(&cold));
-        let sweeps = |r: &TurboMapResult| r.iterations.iter().map(|&(_, s)| s).sum::<usize>();
-        assert!(sweeps(&warm) <= sweeps(&cold));
+        for (name, driver) in DRIVERS {
+            let mut opts = Options::with_k(4);
+            opts.warm_start = false;
+            let cold = driver(&c, opts).unwrap();
+            opts.warm_start = true;
+            let warm = driver(&c, opts).unwrap();
+            let phis =
+                |r: &TurboMapResult| r.iterations.iter().map(|&(p, _)| p).collect::<Vec<_>>();
+            assert_eq!(phis(&warm), phis(&cold), "{name}");
+            assert!(
+                phis(&cold).len() > 1,
+                "{name}: the search must probe below Φ_upper"
+            );
+            let sweeps = |r: &TurboMapResult| r.iterations.iter().map(|&(_, s)| s).sum::<usize>();
+            assert!(sweeps(&warm) <= sweeps(&cold), "{name}");
+        }
     }
 
     /// A pre-tripped cancel token must stop a parallel run promptly with

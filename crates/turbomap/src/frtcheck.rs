@@ -38,12 +38,31 @@
 //! at 0 and reconverges the same way) — so a warm probe returns the same
 //! answer as a cold one, minus the sweeps spent re-deriving what the
 //! previous probe already proved.
+//!
+//! # Two rules, one engine
+//!
+//! The same context, sweep loop and final-cut extraction also run the
+//! label check of the **TurboMap** general-retiming baseline (see
+//! [`crate::gencheck`]). A private rule picks the differences:
+//!
+//! | | FRTcheck | general |
+//! |---|---|---|
+//! | expansion bound per gate | `frt(v)` | `general_horizon` |
+//! | gate update | min cut-weight under the Corollary-1 cap | cut exists at the horizon |
+//! | early infeasible exit | any `l^s(v) > Φ` | a PO label `> Φ` |
+//! | final test | Corollary 1 at every node | every PO label `≤ Φ` |
+//! | dead gates (no path to a PO) | swept | skipped |
+//!
+//! Both are monotone ascents to a least fixpoint whose labels grow as Φ
+//! shrinks, so level-synchronized sweeps, warm starts and the parallel
+//! board serve both unchanged.
 
-use crate::cutsearch::{find_cut_with, min_weight_cut_with, CutScratch, ExpCut};
+use crate::cutsearch::{find_cut_with, has_cut_with, min_cut_weight_with, CutScratch, ExpCut};
 use crate::expand::ExpandedCircuit;
 use crate::sweep::{Board, StopOnDrop};
 use crate::witness::{WitnessOutcome, WitnessStep};
 use netlist::{Circuit, NodeId};
+use std::cell::Cell;
 use std::sync::RwLock;
 
 /// Practical ceiling on expanded-circuit size; `F_v^i` beyond this is
@@ -78,6 +97,19 @@ pub struct FrtCheck {
     pub iterations: usize,
 }
 
+/// Which label system a context iterates (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rule {
+    /// FRTcheck (Figure 5, Corollary 1).
+    Frt,
+    /// The TurboMap general-retiming baseline: single labels, cones
+    /// expanded to a fixed register horizon, PO-only feasibility.
+    General {
+        /// Per-LUT register-crossing horizon.
+        horizon: u64,
+    },
+}
+
 /// How a sweep loop ended (internal).
 enum SweepEnd {
     /// The installed cancel token tripped; partial labels, no records.
@@ -88,19 +120,21 @@ enum SweepEnd {
     Converged,
 }
 
-/// Precomputed per-circuit state shared across FRTcheck runs (binary
-/// search on `Φ` re-uses it).
+/// Precomputed per-circuit state shared across the label checks of one
+/// run (binary search on `Φ` re-uses it), under FRTcheck's rule or the
+/// general-retiming one.
 pub struct FrtContext<'a> {
     circuit: &'a Circuit,
-    /// Capped `frt(v)` per node.
+    /// Capped `frt(v)` per node (empty under the general rule).
     pub frt: Vec<u64>,
     /// Gates whose true `frt(v)` exceeded the cap, so their expanded
     /// circuits are truncated and the mapping may be pessimal for them.
     pub frt_capped_gates: u64,
-    /// Expanded circuit per gate, at bound `frt(v)`.
+    /// Expanded circuit per gate, at [`FrtContext::bound`].
     expanded: Vec<Option<ExpandedCircuit>>,
     /// Topological levels over zero-weight edges: level `d` lists the
-    /// non-PI nodes at combinational depth `d`, in topological order.
+    /// swept (non-PI, and under the general rule live) nodes at
+    /// combinational depth `d`, in topological order.
     /// Within a level no zero-weight edge connects two members, which is
     /// what makes the per-level fan-out safe and effective.
     levels: Levels,
@@ -109,6 +143,7 @@ pub struct FrtContext<'a> {
     /// therefore depend on `x`'s label through the cut heights).
     influenced: graphalgo::Csr,
     k: usize,
+    rule: Rule,
 }
 
 /// Topological levels in flat form: the nodes of level `d` are
@@ -179,39 +214,83 @@ impl<'a> FrtContext<'a> {
             );
         }
         let frt: Vec<u64> = raw_frt.into_iter().map(|f| f.min(frt_cap)).collect();
+        FrtContext::build(circuit, k, frt, frt_capped_gates, Rule::Frt)
+    }
+
+    /// The context of the general-retiming label check: every gate that
+    /// reaches a PO expanded to `horizon`, dead gates left out of the
+    /// sweep (see DESIGN.md).
+    ///
+    /// # Panics
+    ///
+    /// Panics on combinational cycles.
+    pub(crate) fn general(circuit: &'a Circuit, k: usize, horizon: u64) -> FrtContext<'a> {
+        FrtContext::build(circuit, k, Vec::new(), 0, Rule::General { horizon })
+    }
+
+    /// The shared builder: topological levels, the probe-invariant
+    /// expansion cache at each gate's [`FrtContext::bound`], and the
+    /// inverted cone index.
+    fn build(
+        circuit: &'a Circuit,
+        k: usize,
+        frt: Vec<u64>,
+        frt_capped_gates: u64,
+        rule: Rule,
+    ) -> FrtContext<'a> {
         let order = circuit
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
-        let levels = comb_levels(circuit, &order);
-        let mut expanded: Vec<Option<ExpandedCircuit>> = vec![None; circuit.num_nodes()];
-        // Collect (node, dependent gate) pairs flat, then counting-sort
-        // into a CSR row per node. The stamp array replaces a fresh
-        // `seen` bitmap per gate (gate ids are dense, so `v.0 + 1` is a
-        // unique generation tag).
-        let mut infl_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut seen_stamp: Vec<u32> = vec![0; circuit.num_nodes()];
-        for v in circuit.gate_ids() {
-            let exp = ExpandedCircuit::build(circuit, v, frt[v.index()], MAX_EXPANDED_NODES);
-            if let Some(exp) = &exp {
-                let stamp = v.0 + 1;
-                for en in &exp.nodes {
-                    if seen_stamp[en.node.index()] != stamp {
-                        seen_stamp[en.node.index()] = stamp;
-                        infl_pairs.push((en.node.index(), v.index()));
-                    }
-                }
-            }
-            expanded[v.index()] = exp;
-        }
-        let influenced = graphalgo::Csr::from_edges(circuit.num_nodes(), &infl_pairs);
-        FrtContext {
+        let live = match rule {
+            Rule::Frt => None,
+            Rule::General { .. } => Some(netlist::po_reachable(circuit)),
+        };
+        let is_live = |v: NodeId| live.as_ref().is_none_or(|l| l[v.index()]);
+        let levels = comb_levels(circuit, &order, is_live);
+        let mut ctx = FrtContext {
             circuit,
             frt,
             frt_capped_gates,
-            expanded,
+            expanded: vec![None; circuit.num_nodes()],
             levels,
-            influenced,
+            influenced: graphalgo::Csr::default(),
             k,
+            rule,
+        };
+        for v in circuit.gate_ids().filter(|&v| is_live(v)) {
+            ctx.expanded[v.index()] =
+                ExpandedCircuit::build(circuit, v, ctx.bound(v), MAX_EXPANDED_NODES);
+        }
+        // (node, dependent gate) pairs, counting-sorted into a CSR row per
+        // node in two passes over the cache, never stored as a list. The
+        // stamps keep one pair per (node, gate): gate ids are dense, so
+        // `v + 1` is a unique generation tag.
+        let n = circuit.num_nodes();
+        let stamp = vec![Cell::new(0u32); n];
+        let stamp = &stamp;
+        ctx.influenced = graphalgo::Csr::from_edge_fn(n, || {
+            stamp.iter().for_each(|s| s.set(0));
+            ctx.expanded
+                .iter()
+                .enumerate()
+                .filter_map(|(v, exp)| Some((v, exp.as_ref()?)))
+                .flat_map(move |(v, exp)| {
+                    let tag = v as u32 + 1;
+                    exp.nodes.iter().filter_map(move |en| {
+                        let x = en.node.index();
+                        (stamp[x].replace(tag) != tag).then_some((x, v))
+                    })
+                })
+        });
+        ctx
+    }
+
+    /// The expansion bound of gate `v`, which is also the cut-weight
+    /// bound the general rule queries at.
+    fn bound(&self, v: NodeId) -> u64 {
+        match self.rule {
+            Rule::Frt => self.frt[v.index()],
+            Rule::General { horizon } => horizon,
         }
     }
 
@@ -238,12 +317,13 @@ impl<'a> FrtContext<'a> {
         best
     }
 
-    /// Runs FRTcheck for one target period (serial, cold-started).
+    /// Runs the label check (FRTcheck, or the general rule) for one target
+    /// period (serial, cold-started).
     pub fn check(&self, phi: u64) -> FrtCheck {
         self.check_opts(phi, None, 1)
     }
 
-    /// Runs FRTcheck with explicit reuse controls.
+    /// Runs the label check with explicit reuse controls.
     ///
     /// * `warm` — label pairs of a previously **feasible** check of this
     ///   same context at a strictly larger Φ; their `l^s` seeds this run
@@ -290,33 +370,27 @@ impl<'a> FrtContext<'a> {
             },
         );
         let labels = labels.into_inner().expect("labels poisoned");
-        match end {
-            SweepEnd::Cancelled => FrtCheck {
-                feasible: false,
-                labels,
-                iterations,
-            },
-            SweepEnd::Infeasible => {
-                record_probe_metrics(iterations, cache_hits);
-                FrtCheck {
-                    feasible: false,
-                    labels,
-                    iterations,
-                }
-            }
-            SweepEnd::Converged => {
-                record_probe_metrics(iterations, cache_hits);
+        if !matches!(end, SweepEnd::Cancelled) {
+            // Per-probe reuse metrics (cancelled runs record nothing).
+            engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
+            engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cache_hits);
+        }
+        let feasible = matches!(end, SweepEnd::Converged)
+            && match self.rule {
                 // Converged: Corollary 1 must hold at every node.
-                let feasible = c.node_ids().all(|v| {
+                Rule::Frt => c.node_ids().all(|v| {
                     let i = v.index();
                     labels.ls[i] <= LS_NEG_INF || labels.ls[i] + phi_i * labels.r[i] as i64 <= phi_i
-                });
-                FrtCheck {
-                    feasible,
-                    labels,
-                    iterations,
+                }),
+                // Pan & Liu: retimable to Φ iff every PO label is ≤ Φ.
+                Rule::General { .. } => {
+                    c.outputs().iter().all(|&po| labels.ls[po.index()] <= phi_i)
                 }
-            }
+            };
+        FrtCheck {
+            feasible,
+            labels,
+            iterations,
         }
     }
 
@@ -413,8 +487,9 @@ impl<'a> FrtContext<'a> {
                         // whose expanded circuits contain the node see it
                         // through their cut heights.
                         let node = c.node(NodeId(i as u32));
-                        for &e in node.fanout() {
-                            let t = c.edge(e).to().index();
+                        let fanouts = node.fanout().iter().map(|&e| c.edge(e).to().index());
+                        let cones = self.influenced.out(i).iter().map(|&g| g as usize);
+                        for t in fanouts.chain(cones) {
                             if !dirty[t] {
                                 dirty[t] = true;
                                 engine::telemetry::count(
@@ -423,18 +498,14 @@ impl<'a> FrtContext<'a> {
                                 );
                             }
                         }
-                        for &g in self.influenced.out(i) {
-                            if !dirty[g as usize] {
-                                dirty[g as usize] = true;
-                                engine::telemetry::count(
-                                    engine::telemetry::Counter::FrtRequeuedGates,
-                                    1,
-                                );
-                            }
-                        }
-                        if new_ls > phi_i {
-                            // Lower bound already violates Corollary 1 for
-                            // every r ≥ 0: infeasible.
+                        // FRT: the lower bound already violates Corollary 1
+                        // for every r ≥ 0. General: internal labels may
+                        // exceed Φ, a PO's may not.
+                        let refuted = match self.rule {
+                            Rule::Frt => new_ls > phi_i,
+                            Rule::General { .. } => new_ls > phi_i && node.is_output(),
+                        };
+                        if refuted {
                             return (SweepEnd::Infeasible, iterations, cache_hits);
                         }
                     }
@@ -475,6 +546,13 @@ impl<'a> FrtContext<'a> {
 
     /// `LabelUpdate` (§3.2): the tightened pair for a gate, or `None` when
     /// the fanins carry no information yet.
+    ///
+    /// FRT asks only what Corollary 1 needs. `(ℒ^s, w)` survives only if
+    /// `ℒ^s + Φ·w ≤ Φ`, so nothing survives when `ℒ^s > Φ` (no flow at
+    /// all), and otherwise a minimal weight above
+    /// `⌊(Φ − ℒ^s)/Φ⌋` would be bumped to `(ℒ^s + 1, 0)` just like a
+    /// missing cut: capping the weight search there is exact. Φ = 0
+    /// accepts any weight once `ℒ^s ≤ 0`, so it searches up to `frt(v)`.
     fn label_update(
         &self,
         ls: &[i64],
@@ -486,18 +564,32 @@ impl<'a> FrtContext<'a> {
         if script <= LS_NEG_INF {
             return None;
         }
+        let bumped = Some((script + 1, 0));
         let exp = match self.expanded(v) {
             Some(exp) => exp,
-            None => return Some((script + 1, 0)), // conservative on cap
+            None => return bumped, // conservative on cap
         };
-        let frt_v = self.frt[v.index()];
-        match min_weight_cut_with(scratch, exp, ls, phi, script, frt_v, self.k) {
-            None => Some((script + 1, 0)),
-            Some((w_min, _)) => {
-                if script + phi * w_min as i64 <= phi {
-                    Some((script, w_min))
+        match self.rule {
+            Rule::Frt => {
+                if script > phi {
+                    return bumped;
+                }
+                let frt_v = self.frt[v.index()];
+                let cap = if phi > 0 {
+                    frt_v.min(((phi - script) / phi) as u64)
                 } else {
-                    Some((script + 1, 0))
+                    frt_v
+                };
+                match min_cut_weight_with(scratch, exp, ls, phi, script, cap, self.k) {
+                    Some(w_min) => Some((script, w_min)),
+                    None => bumped,
+                }
+            }
+            Rule::General { horizon } => {
+                if has_cut_with(scratch, exp, ls, phi, script, horizon, self.k) {
+                    Some((script, 0))
+                } else {
+                    bumped
                 }
             }
         }
@@ -511,25 +603,27 @@ impl<'a> FrtContext<'a> {
     /// Panics if a cut cannot be re-derived (would contradict
     /// convergence).
     pub fn final_cuts(&self, labels: &LabelPairs, phi: u64) -> Vec<Option<ExpCut>> {
-        let phi_i = phi as i64;
+        self.cuts(&labels.ls, &labels.r, phi)
+    }
+
+    /// [`FrtContext::final_cuts`] on bare label arrays. The cone-weight
+    /// bound is `r(v)` under FRT and the horizon under the general rule
+    /// (which leaves `r` unread, so it may be empty).
+    pub(crate) fn cuts(&self, ls: &[i64], r: &[u64], phi: u64) -> Vec<Option<ExpCut>> {
         let mut cuts: Vec<Option<ExpCut>> = vec![None; self.circuit.num_nodes()];
         let mut scratch = CutScratch::new();
         for v in self.circuit.gate_ids() {
             let i = v.index();
-            if labels.ls[i] <= LS_NEG_INF {
+            if ls[i] <= LS_NEG_INF {
                 continue;
             }
+            let weight = match self.rule {
+                Rule::Frt => r[i],
+                Rule::General { horizon } => horizon,
+            };
             let exp = self.expanded(v).expect("expanded circuit exists");
-            let cut = find_cut_with(
-                &mut scratch,
-                exp,
-                &labels.ls,
-                phi_i,
-                labels.ls[i],
-                labels.r[i],
-                self.k,
-            )
-            .expect("converged labels admit a cut");
+            let cut = find_cut_with(&mut scratch, exp, ls, phi as i64, ls[i], weight, self.k)
+                .expect("converged labels admit a cut");
             cuts[i] = Some(cut);
         }
         cuts
@@ -550,6 +644,7 @@ impl<'a> FrtContext<'a> {
     /// alone; it reaches the same least fixpoint as [`FrtContext::check`]
     /// and therefore the same feasibility verdict.
     pub fn infeasibility_witness(&self, phi: u64) -> WitnessOutcome {
+        debug_assert!(matches!(self.rule, Rule::Frt), "witnesses certify FRTcheck");
         if self.frt_capped_gates > 0 {
             // R2/R3 justifications quantify over cuts of the *true*
             // F_v^{frt(v)}; a capped horizon hides cuts, so the log could
@@ -615,8 +710,9 @@ impl<'a> FrtContext<'a> {
                             Some(exp) => exp,
                             None => return WitnessOutcome::Capped,
                         };
+                        // R3 needs the exact w_min, so no Corollary-1 cap.
                         let frt_v = self.frt[v.index()];
-                        match min_weight_cut_with(
+                        match min_cut_weight_with(
                             &mut scratch,
                             exp,
                             &ls,
@@ -633,7 +729,7 @@ impl<'a> FrtContext<'a> {
                                     value: script + 1,
                                 },
                             ),
-                            Some((w_min, _)) => {
+                            Some(w_min) => {
                                 if script + phi_i * w_min as i64 <= phi_i {
                                     (
                                         script,
@@ -684,16 +780,10 @@ impl<'a> FrtContext<'a> {
     }
 }
 
-/// Records the per-probe reuse metrics (shared by the converged and
-/// infeasible exits; cancelled runs record nothing, like before).
-fn record_probe_metrics(iterations: usize, cache_hits: u64) {
-    engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
-    engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cache_hits);
-}
-
-/// Groups the non-PI nodes by combinational depth (longest zero-weight
-/// path from any source), preserving topological order within each level.
-pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId]) -> Levels {
+/// Groups the non-PI nodes that pass `keep` by combinational depth
+/// (longest zero-weight path from any source), preserving topological
+/// order within each level.
+pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId], keep: impl Fn(NodeId) -> bool) -> Levels {
     let n = c.num_nodes();
     let mut depth = vec![0u32; n];
     let mut max_depth = 0u32;
@@ -712,8 +802,9 @@ pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId]) -> Levels {
     // level's slice keeps topological order, packed into one flat arena.
     let num_levels = max_depth as usize + 1;
     let mut off = vec![0u32; num_levels + 1];
+    let swept = |v: NodeId| !c.node(v).is_input() && keep(v);
     for &v in order {
-        if !c.node(v).is_input() {
+        if swept(v) {
             off[depth[v.index()] as usize + 1] += 1;
         }
     }
@@ -723,7 +814,7 @@ pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId]) -> Levels {
     let mut nodes = vec![0u32; off[num_levels] as usize];
     let mut cursor = off[..num_levels].to_vec();
     for &v in order {
-        if !c.node(v).is_input() {
+        if swept(v) {
             let d = depth[v.index()] as usize;
             nodes[cursor[d] as usize] = v.0;
             cursor[d] += 1;
@@ -884,7 +975,7 @@ mod tests {
     fn levels_partition_non_inputs_topologically() {
         let c = chainy();
         let order = c.comb_topo_order().unwrap();
-        let levels = comb_levels(&c, &order);
+        let levels = comb_levels(&c, &order, |_| true);
         let total = levels.total();
         let non_inputs = c.node_ids().filter(|&v| !c.node(v).is_input()).count();
         assert_eq!(total, non_inputs);
@@ -984,23 +1075,96 @@ mod tests {
         assert!(last.value() > phi_i, "terminal value must exceed Φ");
     }
 
+    /// Asserts that the witness probe (exact `w_min`, serial `l^s`-only
+    /// replay) and `check` (Corollary-1-capped weight search, level
+    /// sweeps) agree on feasibility at every `phi` in `phis`; returns how
+    /// many periods were infeasible.
+    fn assert_witness_agrees(c: &Circuit, k: usize, phis: std::ops::RangeInclusive<u64>) -> usize {
+        let ctx = FrtContext::new(c, k, 32);
+        let mut infeasible = 0;
+        for phi in phis {
+            let check = ctx.check(phi);
+            match ctx.infeasibility_witness(phi) {
+                WitnessOutcome::Infeasible(steps) => {
+                    assert!(!check.feasible, "{} k={k} phi={phi}", c.name());
+                    assert_witness_shape(c, phi, &steps);
+                    infeasible += 1;
+                }
+                WitnessOutcome::Feasible => {
+                    assert!(check.feasible, "{} k={k} phi={phi}", c.name());
+                    assert_uncapped_fixpoint(&ctx, &check.labels, phi);
+                }
+                other => panic!(
+                    "unexpected outcome {other:?} ({} k={k} phi={phi})",
+                    c.name()
+                ),
+            }
+        }
+        infeasible
+    }
+
+    /// Converged labels are a fixpoint of Figure 5's update *without* the
+    /// Corollary-1 cap: the full `[0, frt(v)]` weight search, then the
+    /// Corollary-1 bump.
+    fn assert_uncapped_fixpoint(ctx: &FrtContext, labels: &LabelPairs, phi: u64) {
+        let phi_i = phi as i64;
+        let mut scratch = CutScratch::new();
+        for v in ctx.circuit.gate_ids() {
+            let script = ctx.script_l(&labels.ls, v, phi_i);
+            if script <= LS_NEG_INF {
+                continue;
+            }
+            let exp = ctx.expanded(v).expect("uncapped expansion");
+            let frt_v = ctx.frt[v.index()];
+            let want = match min_cut_weight_with(
+                &mut scratch,
+                exp,
+                &labels.ls,
+                phi_i,
+                script,
+                frt_v,
+                ctx.k,
+            ) {
+                Some(w) if script + phi_i * w as i64 <= phi_i => (script, w),
+                _ => (script + 1, 0),
+            };
+            let got = (labels.ls[v.index()], labels.r[v.index()]);
+            assert_eq!(got, want, "{v:?} at phi={phi}");
+        }
+    }
+
     #[test]
     fn witness_probe_matches_check_verdicts() {
         let c = chainy();
         for k in 1..=3 {
-            let ctx = FrtContext::new(&c, k, 32);
-            for phi in 1..=4u64 {
-                let check = ctx.check(phi);
-                match ctx.infeasibility_witness(phi) {
-                    WitnessOutcome::Infeasible(steps) => {
-                        assert!(!check.feasible, "k={k} phi={phi}");
-                        assert_witness_shape(&c, phi, &steps);
-                    }
-                    WitnessOutcome::Feasible => assert!(check.feasible, "k={k} phi={phi}"),
-                    other => panic!("unexpected outcome {other:?} (k={k} phi={phi})"),
-                }
+            assert_witness_agrees(&c, k, 1..=4);
+        }
+        // Generated FSMs, every period up to the FlowMap-frt bound: the
+        // witness needs the exact w_min while `check` caps the weight
+        // search by Corollary 1, so agreeing verdicts cross-check the cap.
+        let mut infeasible = 0;
+        for seed in 0..4u64 {
+            let fsm = workloads::generate_fsm(&workloads::FsmSpec {
+                name: format!("wit{seed}"),
+                states: 3 + 2 * seed as usize,
+                inputs: 1 + seed as usize % 3,
+                decoded: 2,
+                outputs: 1 + seed as usize % 2,
+                encoding: if seed % 2 == 0 {
+                    workloads::Encoding::OneHot
+                } else {
+                    workloads::Encoding::Binary
+                },
+                registered_inputs: seed % 2 == 1,
+                seed,
+            });
+            for k in 3..=5 {
+                let prep = crate::prepare(&fsm, k).unwrap();
+                let upper = flowmap::flowmap_frt(&prep, k).unwrap().period;
+                infeasible += assert_witness_agrees(&prep, k, 1..=upper);
             }
         }
+        assert!(infeasible > 0, "no infeasible period exercised the cap");
     }
 
     #[test]

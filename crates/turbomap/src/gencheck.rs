@@ -9,10 +9,15 @@
 //! cones may absorb registers up to the configured weight horizon instead
 //! of `frt(v)` — nothing guarantees forward-only register motion, which is
 //! exactly why this baseline's initial states need NP-hard justification.
+//!
+//! [`GeneralContext`] is the public face of that check. The iteration
+//! itself is [`FrtContext`]'s, run under its general rule: the same
+//! expansion cache, level-synchronized sweeps and final-cut extraction
+//! (the module docs of [`crate::frtcheck`] list the five differences).
 
-use crate::cutsearch::{find_cut_with, CutScratch, ExpCut};
+use crate::cutsearch::ExpCut;
 use crate::expand::ExpandedCircuit;
-use crate::frtcheck::{LS_NEG_INF, MAX_EXPANDED_NODES};
+use crate::frtcheck::FrtContext;
 use netlist::{Circuit, NodeId};
 
 /// Outcome of one general-label check.
@@ -27,174 +32,32 @@ pub struct GeneralCheck {
 }
 
 /// Precomputed state for general-retiming label runs.
-pub struct GeneralContext<'a> {
-    circuit: &'a Circuit,
-    expanded: Vec<Option<ExpandedCircuit>>,
-    order: Vec<NodeId>,
-    /// Gates that reach a PO (dead logic is skipped; see DESIGN.md).
-    live: Vec<bool>,
-    /// Inverted cone index (see `FrtContext::influenced`).
-    influenced: Vec<Vec<u32>>,
-    k: usize,
-    horizon: u64,
-}
+pub struct GeneralContext<'a>(FrtContext<'a>);
 
 impl<'a> GeneralContext<'a> {
-    /// Builds expanded circuits with the weight horizon for every live
-    /// gate.
+    /// Builds expanded circuits with the weight horizon for every gate
+    /// that reaches a PO (dead logic is skipped; see DESIGN.md).
     ///
     /// # Panics
     ///
     /// Panics on combinational cycles.
     pub fn new(circuit: &'a Circuit, k: usize, horizon: u64) -> GeneralContext<'a> {
-        let order = circuit
-            .comb_topo_order()
-            .expect("combinational cycles must be rejected before mapping");
-        let live = po_reachable(circuit);
-        let mut expanded: Vec<Option<ExpandedCircuit>> = vec![None; circuit.num_nodes()];
-        let mut influenced: Vec<Vec<u32>> = vec![Vec::new(); circuit.num_nodes()];
-        for v in circuit.gate_ids() {
-            if live[v.index()] {
-                let exp = ExpandedCircuit::build(circuit, v, horizon, MAX_EXPANDED_NODES);
-                if let Some(exp) = &exp {
-                    let mut seen = vec![false; circuit.num_nodes()];
-                    for en in &exp.nodes {
-                        if !seen[en.node.index()] {
-                            seen[en.node.index()] = true;
-                            influenced[en.node.index()].push(v.0);
-                        }
-                    }
-                }
-                expanded[v.index()] = exp;
-            }
-        }
-        GeneralContext {
-            circuit,
-            expanded,
-            order,
-            live,
-            influenced,
-            k,
-            horizon,
-        }
+        GeneralContext(FrtContext::general(circuit, k, horizon))
     }
 
     /// The expanded circuit of a live gate (None when dead or capped).
     pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        self.expanded[v.index()].as_ref()
+        self.0.expanded(v)
     }
 
-    fn script_l(&self, ls: &[i64], v: NodeId, phi: i64) -> i64 {
-        let mut best = LS_NEG_INF;
-        for &e in self.circuit.node(v).fanin() {
-            let edge = self.circuit.edge(e);
-            let lu = ls[edge.from().index()];
-            if lu > LS_NEG_INF {
-                best = best.max(lu - phi * edge.weight() as i64);
-            }
-        }
-        best
-    }
-
-    /// Runs the label iteration for one target period.
+    /// Runs the label iteration for one target period (serial,
+    /// cold-started).
     pub fn check(&self, phi: u64) -> GeneralCheck {
-        let c = self.circuit;
-        let n = c.num_nodes();
-        let phi_i = phi as i64;
-        let mut labels = vec![LS_NEG_INF; n];
-        for &pi in c.inputs() {
-            labels[pi.index()] = 0;
-        }
-        let cap = n.saturating_mul(n).max(4);
-        let mut iterations = 0usize;
-        let mut dirty = vec![true; n];
-        // One flow-network arena for every cut query of this run.
-        let mut scratch = CutScratch::new();
-        loop {
-            // Same cancellation contract as `FrtContext::check`: bail out
-            // as "infeasible"; the driver re-checks the token.
-            if engine::cancel::cancelled() {
-                return GeneralCheck {
-                    feasible: false,
-                    labels,
-                    iterations,
-                };
-            }
-            iterations += 1;
-            engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
-            let _sweep = engine::trace::span1("frtcheck_sweep", "n", iterations as u64);
-            let _mem = engine::mem::scope(engine::mem::MemPhase::LabelSweep);
-            let mut changed = false;
-            for &v in &self.order {
-                let node = c.node(v);
-                if node.is_input() || !self.live[v.index()] || !dirty[v.index()] {
-                    continue;
-                }
-                dirty[v.index()] = false;
-                let script = self.script_l(&labels, v, phi_i);
-                if script <= LS_NEG_INF {
-                    continue;
-                }
-                let new_l = if node.is_output() {
-                    script
-                } else {
-                    let exp = self.expanded[v.index()].as_ref();
-                    match exp.and_then(|e| {
-                        find_cut_with(
-                            &mut scratch,
-                            e,
-                            &labels,
-                            phi_i,
-                            script,
-                            self.horizon,
-                            self.k,
-                        )
-                    }) {
-                        Some(_) => script,
-                        None => script + 1,
-                    }
-                };
-                if new_l > labels[v.index()] {
-                    labels[v.index()] = new_l;
-                    changed = true;
-                    for &e in node.fanout() {
-                        dirty[c.edge(e).to().index()] = true;
-                    }
-                    for &g in &self.influenced[v.index()] {
-                        dirty[g as usize] = true;
-                    }
-                    if node.is_output() && new_l > phi_i {
-                        // PO lower bound already exceeds Φ: infeasible.
-                        engine::telemetry::record(
-                            engine::hist::Metric::SweepsPerPhi,
-                            iterations as u64,
-                        );
-                        return GeneralCheck {
-                            feasible: false,
-                            labels,
-                            iterations,
-                        };
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-            if iterations >= cap {
-                engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
-                return GeneralCheck {
-                    feasible: false,
-                    labels,
-                    iterations,
-                };
-            }
-        }
-        engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
-        let feasible = c.outputs().iter().all(|&po| labels[po.index()] <= phi_i);
+        let res = self.0.check(phi);
         GeneralCheck {
-            feasible,
-            labels,
-            iterations,
+            feasible: res.feasible,
+            labels: res.labels.ls,
+            iterations: res.iterations,
         }
     }
 
@@ -205,49 +68,8 @@ impl<'a> GeneralContext<'a> {
     ///
     /// Panics if a converged label admits no cut (contradiction).
     pub fn final_cuts(&self, labels: &[i64], phi: u64) -> Vec<Option<ExpCut>> {
-        let phi_i = phi as i64;
-        let mut cuts: Vec<Option<ExpCut>> = vec![None; self.circuit.num_nodes()];
-        let mut scratch = CutScratch::new();
-        for v in self.circuit.gate_ids() {
-            let i = v.index();
-            if !self.live[i] || labels[i] <= LS_NEG_INF {
-                continue;
-            }
-            let exp = self.expanded[i].as_ref().expect("live gate expanded");
-            let cut = find_cut_with(
-                &mut scratch,
-                exp,
-                labels,
-                phi_i,
-                labels[i],
-                self.horizon,
-                self.k,
-            )
-            .expect("converged labels admit a cut");
-            cuts[i] = Some(cut);
-        }
-        cuts
+        self.0.cuts(labels, &[], phi)
     }
-}
-
-/// True per node when it reaches some primary output.
-pub fn po_reachable(c: &Circuit) -> Vec<bool> {
-    let n = c.num_nodes();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = c.outputs().iter().map(|v| v.index()).collect();
-    for &s in &stack {
-        live[s] = true;
-    }
-    while let Some(u) = stack.pop() {
-        for &e in c.node(NodeId(u as u32)).fanin() {
-            let f = c.edge(e).from().index();
-            if !live[f] {
-                live[f] = true;
-                stack.push(f);
-            }
-        }
-    }
-    live
 }
 
 #[cfg(test)]
@@ -330,7 +152,8 @@ mod tests {
         c.connect(prev, dmix, vec![Bit::Zero]).unwrap();
         let ctx = GeneralContext::new(&c, 2, 16);
         assert!(ctx.check(3).feasible);
-        assert!(!po_reachable(&c)[dmix.index()]);
+        assert!(!netlist::po_reachable(&c)[dmix.index()]);
+        assert!(ctx.expanded(dmix).is_none());
     }
 
     #[test]

@@ -10,16 +10,21 @@
 //! The pieces, mirroring the paper's Section 3:
 //!
 //! * [`expand`] — expanded circuits `F_v^i` (§3.1, Theorem 2),
-//! * [`cutsearch`] — min-height / min-weight K-feasible cuts by bounded
-//!   max-flow (§3.2, Definitions 4–5),
-//! * [`frtcheck`] — the FRTcheck label-pair iteration (Figure 5) deciding
-//!   one target period,
+//! * [`cutsearch`] — height-bounded K-feasible cuts and minimum cut
+//!   weights by bounded max-flow (§3.2, Definitions 4–5),
+//! * [`frtcheck`] — the label engine: the FRTcheck label-pair iteration
+//!   (Figure 5) deciding one target period, whose context, sweep loop and
+//!   final-cut extraction also run the general-retiming rule,
+//! * [`sweep`] — the deterministic parallel board the sweeps fan out on,
 //! * [`generate`] — mapping generation with forward retiming and initial
 //!   state computation (§3.3, Theorem 6),
-//! * [`gencheck`] — the label computation for the **TurboMap** general-
-//!   retiming baseline (ICCD'96) used in the paper's comparison,
-//! * [`driver`] — binary search over Φ and the two end-to-end entry
-//!   points [`turbomap_frt`] and [`turbomap_general`].
+//! * [`gencheck`] — the public face of the label check for the
+//!   **TurboMap** general-retiming baseline (ICCD'96) used in the paper's
+//!   comparison, run on the `frtcheck` engine,
+//! * [`witness`] — replayable infeasibility certificates for Φ probes,
+//! * [`driver`] — the one Φ binary search and mapping generation behind
+//!   both end-to-end entry points [`turbomap_frt`] and
+//!   [`turbomap_general`].
 //!
 //! # Examples
 //!
@@ -61,13 +66,11 @@ pub mod slack;
 pub mod sweep;
 pub mod witness;
 
-pub use cutsearch::{
-    find_cut, find_cut_with, min_weight_cut, min_weight_cut_with, CutScratch, ExpCut,
-};
+pub use cutsearch::{find_cut, find_cut_with, min_cut_weight_with, CutScratch, ExpCut};
 pub use driver::{prepare, turbomap_frt, turbomap_general, Options, TurboMapError, TurboMapResult};
 pub use expand::{ExpNode, ExpandedCircuit};
 pub use frtcheck::{FrtCheck, FrtContext, LabelPairs};
-pub use gencheck::{po_reachable, GeneralCheck, GeneralContext};
+pub use gencheck::{GeneralCheck, GeneralContext};
 pub use generate::{collect_roots, generate_mapping, GenerateError, GeneratedMapping};
 pub use slack::{plan_mapping, MappingPlan};
 pub use sweep::Board;
