@@ -13,12 +13,14 @@ use crate::intern::{Interner, Symbol};
 use netlist::{Bit, Circuit};
 use std::fmt::Write as _;
 
-/// Serialises a whole parsed file back to BLIF text.
+/// Serialises a whole parsed file back to BLIF text, in a `String` whose
+/// capacity is its length (callers often keep outputs around).
 pub fn write_file(file: &BlifFile) -> String {
     let mut out = String::new();
     for model in &file.models {
         write_model(model, &file.interner, &mut out);
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -388,6 +390,8 @@ mod tests {
         let f2 = parse_str(&t1).unwrap();
         let t2 = write_file(&f2);
         assert_eq!(t1, t2);
+        // No growth slack rides along with a kept output.
+        assert_eq!(t1.capacity(), t1.len());
         // Everything survived: count commands per model.
         assert_eq!(f1.models.len(), f2.models.len());
         for (m1, m2) in f1.models.iter().zip(f2.models.iter()) {

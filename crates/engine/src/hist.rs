@@ -72,10 +72,14 @@ pub enum Metric {
     /// Flip-flops frozen on each block's seam (cut registers charged to
     /// the block that consumes them), recorded once per block.
     PartitionCutFfs = 12,
+    /// Split nodes (in- and out-halves) visited by one TurboMap cut query,
+    /// summed over its BFS passes (`turbomap::cutsearch`): the cone size
+    /// a query pays for.
+    CutQueryNodes = 13,
 }
 
 /// Number of [`Metric`] variants.
-pub const NUM_HISTS: usize = 13;
+pub const NUM_HISTS: usize = 14;
 
 /// Stable snake_case metric names, indexed by `Metric as usize` (JSON
 /// keys in the `turbomap-bench/table1/v2` artifact).
@@ -93,6 +97,7 @@ pub const HIST_NAMES: [&str; NUM_HISTS] = [
     "witness_cycle_len",
     "partition_block_gates",
     "partition_cut_ffs",
+    "cut_query_nodes",
 ];
 
 /// A streaming log-bucketed histogram. All fields are monotone counters.
@@ -451,7 +456,11 @@ mod tests {
             HIST_NAMES[Metric::PartitionCutFfs as usize],
             "partition_cut_ffs"
         );
-        assert_eq!(Metric::PartitionCutFfs as usize, NUM_HISTS - 1);
+        assert_eq!(
+            HIST_NAMES[Metric::CutQueryNodes as usize],
+            "cut_query_nodes"
+        );
+        assert_eq!(Metric::CutQueryNodes as usize, NUM_HISTS - 1);
         let unique: std::collections::HashSet<&str> = HIST_NAMES.iter().copied().collect();
         assert_eq!(unique.len(), NUM_HISTS);
     }

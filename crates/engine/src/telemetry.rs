@@ -6,9 +6,9 @@
 //! entirely on one worker thread, so thread-local accumulation is exact.
 //!
 //! Counters cover the algorithmic work the paper reports on: max-flow
-//! augmentations (`graphalgo::flow`), FRTcheck sweeps and re-queued
-//! gates (`turbomap::frtcheck`), expanded-circuit node-cache hits and
-//! misses (`turbomap::expand`), and unit register moves
+//! augmentations (`turbomap::cutsearch`, `graphalgo::flow`), FRTcheck
+//! sweeps and re-queued gates (`turbomap::frtcheck`), expanded-circuit
+//! node-cache hits and misses (`turbomap::expand`), and unit register moves
 //! (`retiming::moves`). Phase timers split wall time into the pipeline's
 //! four stages: label / search / generate / verify.
 
@@ -23,7 +23,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Augmenting paths found by `graphalgo::flow::NodeCutNetwork`.
+    /// Augmenting paths found by the TurboMap cut kernel
+    /// (`turbomap::cutsearch`) and `graphalgo::flow::NodeCutNetwork`.
     FlowAugmentations = 0,
     /// FRTcheck label sweeps executed (the paper's 5–15 per Φ).
     FrtSweeps = 1,

@@ -14,11 +14,14 @@
 //! since every augmenting path adds one unit of flow, deciding "is there a
 //! cut of size ≤ K" takes at most `K + 1` BFS passes.
 //!
-//! Mappers issue thousands of cut queries per label sweep, so the network
-//! is reusable: [`NodeCutNetwork::reset`] returns it to the empty state of
-//! [`NodeCutNetwork::new`] while keeping every allocation (arc pool, CSR
-//! adjacency buffers, BFS scratch), making the steady-state query cost
-//! allocation-free.
+//! FlowMap-frt (`flowmap::label`) issues one query per node label, so the
+//! network is reusable: [`NodeCutNetwork::reset`] returns it to the empty
+//! state of [`NodeCutNetwork::new`] while keeping every allocation (arc
+//! pool, CSR adjacency buffers, BFS scratch), making the steady-state
+//! query cost allocation-free. TurboMap's cut queries do not build a
+//! network at all (`turbomap::cutsearch` runs its flow on the expanded
+//! circuit); there this type is the reference the kernel is tested
+//! against.
 
 use std::collections::VecDeque;
 

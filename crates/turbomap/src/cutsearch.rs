@@ -16,10 +16,35 @@
 //!
 //! Label updates only need that answer, or the least weight bound that
 //! gives it ([`min_cut_weight_with`]); only mapping generation extracts
-//! the residual min-cut itself ([`find_cut_with`]).
+//! the min-cut itself ([`find_cut_with`]).
+//!
+//! # The flow kernel
+//!
+//! The flow runs directly on the cached [`ExpandedCircuit`]; no network
+//! is built. Node `i` splits into `i_in → i_out`, a virtual source feeds
+//! every leaf's `i_in`, and the sink is the root's `in` half. Augmenting
+//! paths are found by BFS **from the sink**, walking residual arcs
+//! backwards:
+//!
+//! * `f_out → i_in` for each fanin `f` of a non-leaf `i` (uncapacitated);
+//! * `i_in → i_out` while it has residual capacity;
+//! * the reverse of every arc that carries flow.
+//!
+//! A leaf's `in` half is one arc from the source, so a pass ends at the
+//! first leaf it reaches, and a query only visits the nodes near the root
+//! that its K + 1 augmentations need.
+//!
+//! When the flow stays at most K, the last, failing pass has visited
+//! exactly the split nodes that reach the sink in the residual graph.
+//! That set is the same for every maximum flow, so the cut it induces
+//! (`out` half visited, `in` half not, in expanded-index order) is the
+//! unique minimum cut nearest the sink, whatever paths were augmented.
+//!
+//! Height violators stay uncapacitated rather than merged into the sink:
+//! mid-sweep `l^s` values are lower bounds, not monotone along edges, so a
+//! violator may legally sit strictly inside `X`.
 
 use crate::expand::{ExpNode, ExpandedCircuit};
-use graphalgo::NodeCutNetwork;
 
 /// A cut on an expanded circuit: the future LUT inputs, as expanded nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,24 +53,226 @@ pub struct ExpCut {
     pub signals: Vec<ExpNode>,
 }
 
-/// Reusable flow-network arena for cut queries.
+/// List terminator and cancelled-unit marker.
+const NIL: u32 = u32::MAX;
+
+/// One unit of flow on an expanded edge, kept in its driver's list.
+#[derive(Debug, Clone, Copy)]
+struct FlowUnit {
+    /// The consuming node, or [`NIL`] once the unit is cancelled.
+    to: u32,
+    /// Next unit on the same driver's out-edges.
+    next: u32,
+}
+
+/// Reusable state for cut queries; one per thread (they are not shared).
 ///
-/// The FRTcheck sweeps issue one bounded max-flow per `LabelUpdate`
-/// candidate weight — hundreds of thousands of queries per Φ probe on the
-/// larger circuits — and the inner [`NodeCutNetwork`] is the only
-/// allocation each query needs. A scratch amortises it: every query calls
-/// [`NodeCutNetwork::reset`] instead of reallocating, so the adjacency
-/// rows, arc pool and BFS buffers grow to the largest expanded circuit
-/// seen and stay there. One scratch per thread (they are not shared).
+/// Split node `2i` is `i_in` and `2i + 1` is `i_out`. Arrays grow to the
+/// largest `F_v` seen and are never cleared: BFS marks carry a pass stamp
+/// and per-node flow carries a query stamp, so a query only touches the
+/// nodes it visits. A stamp counter that wraps clears its array once.
 #[derive(Debug, Clone, Default)]
 pub struct CutScratch {
-    net: NodeCutNetwork,
+    /// BFS pass that last visited each split node.
+    seen: Vec<u32>,
+    /// Each visited split node's successor on its residual path to the
+    /// sink.
+    next: Vec<u32>,
+    /// For an `in` half reached over a flow unit's reverse arc, that unit.
+    slot: Vec<u32>,
+    /// Current pass stamp.
+    pass: u32,
+    /// Query that last wrote each node's `through` and `head`; stale
+    /// fields read as zero flow.
+    flow_stamp: Vec<u32>,
+    /// Units of flow on each node's `in → out` arc.
+    through: Vec<u32>,
+    /// First of each node's flow units, or [`NIL`].
+    head: Vec<u32>,
+    /// Current query stamp.
+    query: u32,
+    /// This query's flow units.
+    units: Vec<FlowUnit>,
+    /// BFS queue. After a failing pass it holds every split node that
+    /// reaches the sink in the residual graph.
+    queue: Vec<u32>,
 }
 
 impl CutScratch {
     /// An empty scratch; the first query sizes it.
     pub fn new() -> CutScratch {
         CutScratch::default()
+    }
+
+    /// Sizes the arrays for `n` expanded nodes and starts a query.
+    fn begin_query(&mut self, n: usize) {
+        if self.flow_stamp.len() < n {
+            self.seen.resize(2 * n, 0);
+            self.next.resize(2 * n, 0);
+            self.slot.resize(2 * n, 0);
+            self.flow_stamp.resize(n, 0);
+            self.through.resize(n, 0);
+            self.head.resize(n, NIL);
+        }
+        self.query = self.query.wrapping_add(1);
+        if self.query == 0 {
+            self.flow_stamp.fill(0);
+            self.query = 1;
+        }
+        self.units.clear();
+    }
+
+    /// Starts a BFS pass from split node `t`.
+    fn begin_pass(&mut self, t: usize) {
+        self.pass = self.pass.wrapping_add(1);
+        if self.pass == 0 {
+            self.seen.fill(0);
+            self.pass = 1;
+        }
+        self.queue.clear();
+        self.seen[t] = self.pass;
+        self.queue.push(t as u32);
+    }
+
+    #[inline]
+    fn through(&self, i: usize) -> u32 {
+        if self.flow_stamp[i] == self.query {
+            self.through[i]
+        } else {
+            0
+        }
+    }
+
+    #[inline]
+    fn head(&self, i: usize) -> u32 {
+        if self.flow_stamp[i] == self.query {
+            self.head[i]
+        } else {
+            NIL
+        }
+    }
+
+    /// Claims node `i`'s flow fields for this query.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        if self.flow_stamp[i] != self.query {
+            self.flow_stamp[i] = self.query;
+            self.through[i] = 0;
+            self.head[i] = NIL;
+        }
+    }
+
+    /// Marks split node `x` reached from `y`; false when already seen.
+    #[inline]
+    fn visit(&mut self, x: usize, y: usize, slot: u32) -> bool {
+        if self.seen[x] == self.pass {
+            return false;
+        }
+        self.seen[x] = self.pass;
+        self.next[x] = y as u32;
+        self.slot[x] = slot;
+        self.queue.push(x as u32);
+        true
+    }
+
+    /// One BFS pass from the sink over reversed residual arcs. Returns the
+    /// `in` half of the first leaf reached, or `None` once every split
+    /// node that reaches the sink has been visited.
+    fn search(&mut self, q: &Query) -> Option<usize> {
+        let t = 2 * q.exp.root();
+        self.begin_pass(t);
+        let mut qi = 0;
+        while qi < self.queue.len() {
+            let y = self.queue[qi] as usize;
+            qi += 1;
+            let i = y / 2;
+            if y.is_multiple_of(2) {
+                // `i_in` of a non-leaf: its fanins' edges, and the reverse
+                // of its own arc when that carries flow.
+                for &f in q.exp.fanins(i) {
+                    self.visit(2 * f as usize + 1, y, NIL);
+                }
+                if self.through(i) > 0 {
+                    self.visit(2 * i + 1, y, NIL);
+                }
+            } else {
+                // `i_out`: its own arc while residual, and the reverse of
+                // every flow unit on its out-edges.
+                if (self.through(i) == 0 || !q.cuttable(i))
+                    && self.visit(2 * i, y, NIL)
+                    && q.leaf(i)
+                {
+                    return Some(2 * i);
+                }
+                let mut u = self.head(i);
+                while u != NIL {
+                    let unit = self.units[u as usize];
+                    if unit.to != NIL {
+                        // Flow only enters non-leaves, so this is no leaf.
+                        self.visit(2 * unit.to as usize, y, u);
+                    }
+                    u = unit.next;
+                }
+            }
+        }
+        None
+    }
+
+    /// Pushes one unit along the path [`CutScratch::search`] found, from
+    /// `x` (a leaf's `in` half) to the sink `t`.
+    fn augment(&mut self, mut x: usize, t: usize) {
+        while x != t {
+            let y = self.next[x] as usize;
+            let (a, b) = (x / 2, y / 2);
+            match (x.is_multiple_of(2), a == b) {
+                // a_in → a_out.
+                (true, true) => {
+                    self.touch(a);
+                    self.through[a] += 1;
+                }
+                // a_out → a_in cancels flow through `a`.
+                (false, true) => self.through[a] -= 1,
+                // a_out → b_in: a new unit on edge a → b.
+                (false, false) => {
+                    self.touch(a);
+                    let u = self.units.len() as u32;
+                    self.units.push(FlowUnit {
+                        to: b as u32,
+                        next: self.head[a],
+                    });
+                    self.head[a] = u;
+                }
+                // a_in → b_out cancels a unit on edge b → a.
+                (true, false) => self.units[self.slot[x] as usize].to = NIL,
+            }
+            x = y;
+        }
+    }
+}
+
+/// The parameters of one cut query.
+struct Query<'a> {
+    exp: &'a ExpandedCircuit,
+    ls: &'a [i64],
+    phi: i64,
+    height_bound: i64,
+    weight_bound: u64,
+}
+
+impl Query<'_> {
+    /// A declared leaf, or heavier than the weight bound: fed by the
+    /// source.
+    #[inline]
+    fn leaf(&self, i: usize) -> bool {
+        self.exp.is_leaf(i) || self.exp.weight(i) > self.weight_bound
+    }
+
+    /// Unit capacity: the node's value `l^s(u) − Φ·w + 1` is within the
+    /// height bound, so it may sit on the cut.
+    #[inline]
+    fn cuttable(&self, i: usize) -> bool {
+        let en = self.exp.node(i);
+        self.ls[en.node.index()] - self.phi * (en.weight as i64) < self.height_bound
     }
 }
 
@@ -77,7 +304,7 @@ pub fn find_cut(
     )
 }
 
-/// [`find_cut`] with a caller-provided arena — the form mapping
+/// [`find_cut`] with a caller-provided scratch — the form mapping
 /// generation uses, reusing one [`CutScratch`] across all gates.
 pub fn find_cut_with(
     scratch: &mut CutScratch,
@@ -91,8 +318,16 @@ pub fn find_cut_with(
     if !has_cut_with(scratch, exp, ls, phi, height_bound, weight_bound, k) {
         return None;
     }
-    let cut = scratch.net.min_cut_near_sink(exp.len());
-    let signals: Vec<ExpNode> = cut.cut_nodes.iter().map(|&i| exp.nodes[i]).collect();
+    let s = &*scratch;
+    let mut cut: Vec<usize> = s
+        .queue
+        .iter()
+        .map(|&x| x as usize)
+        .filter(|&x| x % 2 == 1 && s.seen[x - 1] != s.pass)
+        .map(|x| x / 2)
+        .collect();
+    cut.sort_unstable();
+    let signals: Vec<ExpNode> = cut.into_iter().map(|i| exp.node(i)).collect();
     debug_assert!(!signals.is_empty() && signals.len() <= k);
     debug_assert!(signals
         .iter()
@@ -101,8 +336,8 @@ pub fn find_cut_with(
 }
 
 /// Whether [`find_cut_with`] would find a cut, without extracting it:
-/// one bounded max-flow, leaving the residual network in `scratch`.
-/// This is the question every label update asks.
+/// one bounded max-flow, leaving the last pass's residual reach in
+/// `scratch`. This is the question every label update asks.
 pub(crate) fn has_cut_with(
     scratch: &mut CutScratch,
     exp: &ExpandedCircuit,
@@ -112,50 +347,52 @@ pub(crate) fn has_cut_with(
     weight_bound: u64,
     k: usize,
 ) -> bool {
-    let n = exp.len();
-    debug_assert!(!exp.is_leaf[exp.root()]);
+    debug_assert!(!exp.is_leaf(exp.root()));
     let _span = engine::trace::span_with(
         "min_cut",
         [
-            Some(("node", exp.nodes[exp.root()].node.index() as u64)),
+            Some(("node", exp.node(exp.root()).node.index() as u64)),
             Some(("weight_bound", weight_bound)),
         ],
     );
     let _mem = engine::mem::scope(engine::mem::MemPhase::MinCut);
-    // Effective leaf: a declared leaf, or weight above the current bound.
-    let effective_leaf = |i: usize| exp.is_leaf[i] || exp.nodes[i].weight > weight_bound;
-    let value = |i: usize| {
-        let en = exp.nodes[i];
-        ls[en.node.index()] - phi * en.weight as i64 + 1
+    let q = Query {
+        exp,
+        ls,
+        phi,
+        height_bound,
+        weight_bound,
     };
-    let net = &mut scratch.net;
-    net.reset(n + 1);
-    let source = n;
-    let root = exp.root();
-    for i in 0..n {
-        if effective_leaf(i) {
-            net.add_edge(source, i);
-        } else {
-            for &f in exp.fanins(i) {
-                net.add_edge(f as usize, i);
+    let t = 2 * exp.root();
+    scratch.begin_query(exp.len());
+    let mut flow = 0usize;
+    let mut visited = 0u64;
+    let found = loop {
+        if flow > k {
+            break false;
+        }
+        let leaf = scratch.search(&q);
+        visited += scratch.queue.len() as u64;
+        let Some(leaf) = leaf else {
+            // The flow is exact (not truncated at K + 1): a real per-cut
+            // sample. Zero flow means no leaf reaches the root (an empty
+            // cut), which counts as no cut.
+            engine::telemetry::record(engine::hist::Metric::AugmentationsPerCut, flow as u64);
+            if flow == 0 {
+                break false;
             }
-        }
-        if i != root && value(i) > height_bound {
-            // May not appear on the cut boundary.
-            net.set_uncapacitated(i);
-        }
-    }
-    let result = net.max_flow(source, root, k as u32);
-    // Zero flow means the root was unreachable from every leaf (an empty
-    // cut), which cannot happen for PI-reachable circuits; it counts as
-    // no cut.
-    if result.exceeded_limit || result.flow == 0 {
-        return false;
-    }
-    // Unit node capacities: the min cut has exactly `flow` nodes.
-    engine::telemetry::record(engine::hist::Metric::CutSize, u64::from(result.flow));
-    engine::trace::event1("cut_found", "size", u64::from(result.flow));
-    true
+            // Unit node capacities: the min cut has exactly `flow` nodes.
+            engine::telemetry::record(engine::hist::Metric::CutSize, flow as u64);
+            engine::trace::event1("cut_found", "size", flow as u64);
+            break true;
+        };
+        scratch.augment(leaf, t);
+        flow += 1;
+        engine::telemetry::count(engine::telemetry::Counter::FlowAugmentations, 1);
+        engine::trace::event1("augment", "flow", flow as u64);
+    };
+    engine::telemetry::record(engine::hist::Metric::CutQueryNodes, visited);
+    found
 }
 
 /// The minimum cut-weight `w ∈ [0, cap]` for which `F_v^w` has a
@@ -390,24 +627,24 @@ mod validity_tests {
         let mut seen = vec![false; exp.len()];
         seen[exp.root()] = true;
         while let Some(i) = stack.pop() {
-            let en = exp.nodes[i];
+            let en = exp.node(i);
             assert!(
                 en.weight <= weight_bound || i == exp.root(),
                 "cone node heavier than the bound"
             );
             assert!(
-                !(exp.is_leaf[i] && i != exp.root()),
+                !(exp.is_leaf(i) && i != exp.root()),
                 "cone contains a leaf: the cut failed to separate"
             );
             for &f in exp.fanins(i) {
                 let fi = f as usize;
-                if cut_set.contains(&exp.nodes[fi]) || seen[fi] {
+                if cut_set.contains(&exp.node(fi)) || seen[fi] {
                     continue;
                 }
                 assert!(
-                    !(exp.is_leaf[fi] || exp.nodes[fi].weight > weight_bound),
+                    !(exp.is_leaf(fi) || exp.weight(fi) > weight_bound),
                     "uncut boundary reached at {:?}",
-                    exp.nodes[fi]
+                    exp.node(fi)
                 );
                 seen[fi] = true;
                 stack.push(fi);
@@ -497,5 +734,210 @@ mod validity_tests {
             }
         }
         assert!(found > 0 && none > 0 && cap0 > 0, "{found} {none} {cap0}");
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use engine::hist::Metric;
+    use engine::telemetry::{self, Counter, Telemetry};
+    use engine::Rng64;
+    use graphalgo::{MaxFlowResult, NodeCutNetwork};
+    use netlist::{Bit, Circuit, NodeId, TruthTable};
+
+    /// The reference construction: a [`NodeCutNetwork`] over the whole
+    /// `F_v`, a source-side bounded max-flow, then the residual min cut
+    /// nearest the sink — with the telemetry the kernel must reproduce.
+    fn reference(
+        exp: &ExpandedCircuit,
+        ls: &[i64],
+        phi: i64,
+        height_bound: i64,
+        weight_bound: u64,
+        k: usize,
+    ) -> (MaxFlowResult, Option<ExpCut>) {
+        let n = exp.len();
+        let (source, root) = (n, exp.root());
+        let mut net = NodeCutNetwork::new(n + 1);
+        for i in 0..n {
+            if exp.is_leaf(i) || exp.weight(i) > weight_bound {
+                net.add_edge(source, i);
+            } else {
+                for &f in exp.fanins(i) {
+                    net.add_edge(f as usize, i);
+                }
+            }
+            let en = exp.node(i);
+            if i != root && ls[en.node.index()] - phi * en.weight as i64 + 1 > height_bound {
+                net.set_uncapacitated(i);
+            }
+        }
+        let result = net.max_flow(source, root, k as u32);
+        if result.exceeded_limit || result.flow == 0 {
+            return (result, None);
+        }
+        telemetry::record(Metric::CutSize, u64::from(result.flow));
+        let cut = net.min_cut_near_sink(source);
+        let signals = cut.cut_nodes.iter().map(|&i| exp.node(i)).collect();
+        (result, Some(ExpCut { signals }))
+    }
+
+    fn reference_min_weight(
+        exp: &ExpandedCircuit,
+        ls: &[i64],
+        phi: i64,
+        height_bound: i64,
+        cap: u64,
+        k: usize,
+    ) -> Option<u64> {
+        (0..=cap).find(|&w| reference(exp, ls, phi, height_bound, w, k).1.is_some())
+    }
+
+    /// The telemetry both constructions record, compared field by field.
+    fn flow_telemetry(t: &Telemetry) -> [u64; 5] {
+        let (aug, size) = (t.hist(Metric::AugmentationsPerCut), t.hist(Metric::CutSize));
+        [
+            t.counter(Counter::FlowAugmentations),
+            aug.count,
+            aug.sum,
+            size.count,
+            size.sum,
+        ]
+    }
+
+    /// A random FSM plus three hand-made roots: a gate fed only by a
+    /// constant (zero flow), a gate with a duplicated fanin, and a gate
+    /// mixing both behind a register.
+    fn circuit(rng: &mut Rng64, trial: u64) -> (Circuit, Vec<NodeId>) {
+        let mut c = workloads::generate_fsm(&workloads::FsmSpec {
+            name: format!("or{trial}"),
+            states: rng.range_usize(2, 7),
+            inputs: rng.range_usize(1, 4),
+            decoded: 2,
+            outputs: 1,
+            encoding: if rng.chance(0.5) {
+                workloads::Encoding::OneHot
+            } else {
+                workloads::Encoding::Binary
+            },
+            registered_inputs: rng.chance(0.5),
+            seed: trial,
+        });
+        let gates: Vec<NodeId> = c.gate_ids().collect();
+        let x = gates[rng.range_usize(0, gates.len())];
+        let k0 = c.add_gate("k0", TruthTable::const_zero(0)).unwrap();
+        let zero = c.add_gate("zero", TruthTable::buf()).unwrap();
+        c.connect(k0, zero, vec![]).unwrap();
+        let dup = c.add_gate("dup", TruthTable::and(2)).unwrap();
+        c.connect(x, dup, vec![]).unwrap();
+        c.connect(x, dup, vec![]).unwrap();
+        let mix = c.add_gate("mix", TruthTable::and(2)).unwrap();
+        c.connect(dup, mix, vec![Bit::Zero]).unwrap();
+        c.connect(k0, mix, vec![]).unwrap();
+        let mut roots: Vec<NodeId> = gates.into_iter().take(8).collect();
+        roots.extend([zero, dup, mix]);
+        (c, roots)
+    }
+
+    fn has_duplicate_fanins(exp: &ExpandedCircuit) -> bool {
+        (0..exp.len()).any(|i| {
+            let f = exp.fanins(i);
+            (1..f.len()).any(|j| f[..j].contains(&f[j]))
+        })
+    }
+
+    /// The kernel against the reference on random expansions, labels,
+    /// Φ, heights, weight bounds and K: same verdicts, same cuts, same
+    /// minimum weights, same flow telemetry — through one scratch that
+    /// sees `F_v` grow and shrink.
+    #[test]
+    fn kernel_matches_reference_network() {
+        let mut rng = Rng64::new(0x51_4B);
+        let mut scratch = CutScratch::new();
+        let mut prev_len = 0;
+        let (mut grew, mut shrank) = (0, 0);
+        let (mut exceeded, mut zero, mut uncap_leaf, mut dup, mut found) = (0, 0, 0, 0, 0);
+        for trial in 0..60 {
+            let (c, roots) = circuit(&mut rng, trial);
+            let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 4)).collect();
+            let phi = rng.range_i64(1, 4);
+            let k = rng.range_usize(1, 6);
+            let horizon = rng.range_i64(0, 4) as u64;
+            for v in roots {
+                let exp = match ExpandedCircuit::build(&c, v, horizon, 50_000) {
+                    Some(e) => e,
+                    None => continue,
+                };
+                grew += usize::from(exp.len() > prev_len);
+                shrank += usize::from(exp.len() < prev_len);
+                prev_len = exp.len();
+                dup += usize::from(has_duplicate_fanins(&exp));
+                let hb = rng.range_i64(-2, 6);
+                let wb = rng.range_i64(0, horizon as i64 + 1) as u64;
+                telemetry::reset();
+                let got = find_cut_with(&mut scratch, &exp, &ls, phi, hb, wb, k);
+                let got_tel = flow_telemetry(&telemetry::take());
+                let (flow, want) = reference(&exp, &ls, phi, hb, wb, k);
+                let want_tel = flow_telemetry(&telemetry::take());
+                assert_eq!(got, want, "trial {trial} root {v:?} hb {hb} wb {wb} k {k}");
+                assert_eq!(got_tel, want_tel, "telemetry, trial {trial} root {v:?}");
+                assert_eq!(
+                    has_cut_with(&mut scratch, &exp, &ls, phi, hb, wb, k),
+                    want.is_some()
+                );
+                assert_eq!(
+                    min_cut_weight_with(&mut scratch, &exp, &ls, phi, hb, horizon, k),
+                    reference_min_weight(&exp, &ls, phi, hb, horizon, k),
+                    "min weight, trial {trial} root {v:?}"
+                );
+                exceeded += usize::from(flow.exceeded_limit);
+                zero += usize::from(flow.flow == 0);
+                found += usize::from(want.is_some());
+                uncap_leaf += usize::from((1..exp.len()).any(|i| {
+                    let en = exp.node(i);
+                    (exp.is_leaf(i) || en.weight > wb)
+                        && ls[en.node.index()] - phi * en.weight as i64 + 1 > hb
+                }));
+            }
+        }
+        let cases = [exceeded, zero, uncap_leaf, dup, found, grew, shrank];
+        assert!(cases.iter().all(|&n| n > 0), "{cases:?}");
+    }
+
+    /// Both stamp counters wrap: the pass counter mid-query, the query
+    /// counter between queries. Answers must not see stale marks or flow.
+    #[test]
+    fn stamp_wraparound_resets_scratch() {
+        let mut rng = Rng64::new(0xE90C);
+        let mut checked = 0;
+        for trial in 0..4 {
+            let (c, _) = circuit(&mut rng, trial);
+            let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-2, 2)).collect();
+            for v in c.gate_ids() {
+                let exp = match ExpandedCircuit::build(&c, v, 2, 50_000) {
+                    Some(e) => e,
+                    None => continue,
+                };
+                let want = find_cut(&exp, &ls, 1, 8, 2, 5);
+                if want.is_none() {
+                    continue;
+                }
+                // A cut means at least two passes, so every run wraps
+                // both counters, and rewinding them again replays the
+                // same stamps: without the resets, the second run would
+                // take the first one's marks and flow for its own.
+                let mut scratch = CutScratch::new();
+                for _ in 0..2 {
+                    scratch.pass = u32::MAX - 1;
+                    scratch.query = u32::MAX;
+                    let got = find_cut_with(&mut scratch, &exp, &ls, 1, 8, 2, 5);
+                    assert_eq!(got, want, "trial {trial} root {v:?}");
+                    assert!(scratch.query == 1 && scratch.pass < u32::MAX);
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
     }
 }

@@ -38,7 +38,7 @@ struct ExpIndex {
     /// Original-node id per slot; `EMPTY_SLOT` marks free slots.
     node: Vec<u32>,
     /// Weight per slot (valid only when the slot is occupied).
-    weight: Vec<u64>,
+    weight: Vec<u32>,
     /// Expanded index per slot (valid only when the slot is occupied).
     idx: Vec<u32>,
     /// Number of occupied slots.
@@ -59,8 +59,9 @@ impl ExpIndex {
     }
 
     #[inline]
-    fn hash(node: u32, weight: u64) -> u64 {
-        let mut h = (node as u64 ^ weight.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn hash(node: u32, weight: u32) -> u64 {
+        let mut h = (u64::from(node) ^ u64::from(weight).rotate_left(32))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 29;
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^ (h >> 32)
@@ -69,7 +70,7 @@ impl ExpIndex {
     /// Slot containing `(node, weight)`, or the free slot where it would
     /// be inserted.
     #[inline]
-    fn probe(&self, node: u32, weight: u64) -> usize {
+    fn probe(&self, node: u32, weight: u32) -> usize {
         let mask = self.node.len() - 1;
         let mut s = Self::hash(node, weight) as usize & mask;
         loop {
@@ -81,12 +82,12 @@ impl ExpIndex {
     }
 
     #[inline]
-    fn get(&self, node: u32, weight: u64) -> Option<u32> {
+    fn get(&self, node: u32, weight: u32) -> Option<u32> {
         let s = self.probe(node, weight);
         (self.node[s] != EMPTY_SLOT).then(|| self.idx[s])
     }
 
-    fn insert(&mut self, node: u32, weight: u64, idx: u32) {
+    fn insert(&mut self, node: u32, weight: u32, idx: u32) {
         if self.len * 2 >= self.node.len() {
             self.grow();
         }
@@ -99,7 +100,7 @@ impl ExpIndex {
     }
 
     fn grow(&mut self) {
-        let old_node = std::mem::replace(&mut self.node, vec![EMPTY_SLOT; 0]);
+        let old_node = std::mem::take(&mut self.node);
         let old_weight = std::mem::take(&mut self.weight);
         let old_idx = std::mem::take(&mut self.idx);
         let size = old_node.len() * 2;
@@ -119,21 +120,23 @@ impl ExpIndex {
 
 /// The expanded circuit `F_v^i` of one root.
 ///
-/// Fanins live in one flat pool indexed by per-node `(offset, len)` pairs
-/// — struct-of-arrays with no per-node heap boxes, so a build is a handful
-/// of amortised `Vec` pushes regardless of node count.
+/// Struct-of-arrays with every vector sized exactly: 13 bytes per node
+/// (original id, weight, CSR offset, leaf flag) plus 4 per fanin slot.
+/// The FRTcheck cache holds one per live gate for a whole Φ search, so
+/// this layout is what the cache costs.
 #[derive(Debug, Clone)]
 pub struct ExpandedCircuit {
-    /// The root `v^0` is always index 0.
-    pub nodes: Vec<ExpNode>,
-    /// Offset of node `i`'s fanin slice in `fanin_pool`.
+    /// Original node id per expanded node; the root `v^0` is index 0.
+    node: Vec<u32>,
+    /// Registers between the node and the root.
+    weight: Vec<u32>,
+    /// CSR offsets (`len() + 1` entries): node `i`'s fanins are
+    /// `fanin_pool[fanin_off[i]..fanin_off[i + 1]]`.
     fanin_off: Vec<u32>,
-    /// Length of node `i`'s fanin slice.
-    fanin_len: Vec<u32>,
-    /// Flat fanin pool; each internal node's fanins are contiguous.
+    /// Flat fanin pool in expanded-index order.
     fanin_pool: Vec<u32>,
     /// True when the node is a leaf (PI, or weight above the bound).
-    pub is_leaf: Vec<bool>,
+    is_leaf: Vec<bool>,
     /// The weight bound `i` used during construction.
     pub bound: u64,
 }
@@ -141,12 +144,12 @@ pub struct ExpandedCircuit {
 impl ExpandedCircuit {
     /// Number of expanded nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.node.len()
     }
 
     /// True when only the root exists.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.node.len() <= 1
     }
 
     /// Index of the root `v^0`.
@@ -154,19 +157,45 @@ impl ExpandedCircuit {
         0
     }
 
+    /// Expanded node `i` as `u^w`.
+    #[inline]
+    pub fn node(&self, i: usize) -> ExpNode {
+        ExpNode {
+            node: NodeId(self.node[i]),
+            weight: self.weight(i),
+        }
+    }
+
+    /// All expanded nodes in index order.
+    pub fn nodes(&self) -> impl Iterator<Item = ExpNode> + '_ {
+        (0..self.len()).map(|i| self.node(i))
+    }
+
+    /// Registers between expanded node `i` and the root.
+    #[inline]
+    pub fn weight(&self, i: usize) -> u64 {
+        u64::from(self.weight[i])
+    }
+
+    /// True when node `i` is a leaf (PI, or weight above the bound).
+    #[inline]
+    pub fn is_leaf(&self, i: usize) -> bool {
+        self.is_leaf[i]
+    }
+
     /// Expanded fanins of node `i` (empty for leaves).
     #[inline]
     pub fn fanins(&self, i: usize) -> &[u32] {
-        let off = self.fanin_off[i] as usize;
-        &self.fanin_pool[off..off + self.fanin_len[i] as usize]
+        &self.fanin_pool[self.fanin_off[i] as usize..self.fanin_off[i + 1] as usize]
     }
 
     /// Builds `F_v^bound`.
     ///
     /// Internal nodes satisfy `weight ≤ bound`; leaves are PIs or nodes
     /// whose weight exceeds the bound. `max_nodes` guards against blow-up
-    /// (`None` is returned when exceeded — callers treat this as "no cut
-    /// found at this bound", which is conservative).
+    /// (`None` is returned when exceeded, or when a weight overflows
+    /// `u32` — callers treat this as "no cut found at this bound", which
+    /// is conservative).
     ///
     /// # Panics
     ///
@@ -179,37 +208,25 @@ impl ExpandedCircuit {
         );
         let _mem = engine::mem::scope(engine::mem::MemPhase::Expand);
         let mut index = ExpIndex::new();
-        let mut nodes: Vec<ExpNode> = Vec::new();
-        let mut fanin_off: Vec<u32> = Vec::new();
-        let mut fanin_len: Vec<u32> = Vec::new();
-        let mut fanin_pool: Vec<u32> = Vec::new();
-        let mut is_leaf: Vec<bool> = Vec::new();
-        let root = ExpNode { node: v, weight: 0 };
-        index.insert(v.index() as u32, 0, 0);
-        nodes.push(root);
-        fanin_off.push(0);
-        fanin_len.push(0);
-        is_leaf.push(false);
+        index.insert(v.0, 0, 0);
+        let mut node: Vec<u32> = vec![v.0];
+        let mut weight: Vec<u32> = vec![0];
+        let mut is_leaf: Vec<bool> = vec![false];
+        // Fanin slices in pop order, `(offset, len)` into `pool`; laid out
+        // in index order once the node set is final.
+        let mut slices: Vec<(u32, u32)> = vec![(0, 0)];
+        let mut pool: Vec<u32> = Vec::new();
+        // Only internal nodes are pushed, and each is popped once.
         let mut stack: Vec<u32> = vec![0];
         while let Some(xi) = stack.pop() {
-            let x = nodes[xi as usize];
-            // Only internal nodes expand.
-            if is_leaf[xi as usize] {
-                continue;
-            }
-            // A node is popped at most once, so its fanin slice is filled
-            // contiguously here and never touched again.
-            fanin_off[xi as usize] = fanin_pool.len() as u32;
-            let fanin_edges: Vec<netlist::EdgeId> = c.node(x.node).fanin().to_vec();
-            for e in fanin_edges {
+            let xi = xi as usize;
+            let off = pool.len() as u32;
+            for &e in c.node(NodeId(node[xi])).fanin() {
                 let edge = c.edge(e);
-                let child = ExpNode {
-                    node: edge.from(),
-                    weight: x.weight + edge.weight() as u64,
-                };
-                let child_key = child.node.index() as u32;
-                let leaf = !c.node(child.node).is_gate() || child.weight > bound;
-                let ci = match index.get(child_key, child.weight) {
+                let child = edge.from();
+                let child_weight =
+                    u32::try_from(u64::from(weight[xi]) + edge.weight() as u64).ok()?;
+                let ci = match index.get(child.0, child_weight) {
                     Some(ci) => {
                         // An existing node's leaf-ness never changes: it
                         // was classified by (node, weight) alone.
@@ -218,29 +235,40 @@ impl ExpandedCircuit {
                     }
                     None => {
                         engine::telemetry::count(engine::telemetry::Counter::ExpandCacheMisses, 1);
-                        if nodes.len() >= max_nodes {
+                        if node.len() >= max_nodes {
                             return None;
                         }
-                        let ci = nodes.len() as u32;
-                        index.insert(child_key, child.weight, ci);
-                        nodes.push(child);
-                        fanin_off.push(0);
-                        fanin_len.push(0);
+                        let ci = node.len() as u32;
+                        let leaf = !c.node(child).is_gate() || u64::from(child_weight) > bound;
+                        index.insert(child.0, child_weight, ci);
+                        node.push(child.0);
+                        weight.push(child_weight);
                         is_leaf.push(leaf);
+                        slices.push((0, 0));
                         if !leaf {
                             stack.push(ci);
                         }
                         ci
                     }
                 };
-                fanin_pool.push(ci);
+                pool.push(ci);
             }
-            fanin_len[xi as usize] = fanin_pool.len() as u32 - fanin_off[xi as usize];
+            slices[xi] = (off, pool.len() as u32 - off);
         }
+        let mut fanin_off = Vec::with_capacity(node.len() + 1);
+        let mut fanin_pool = Vec::with_capacity(pool.len());
+        fanin_off.push(0);
+        for &(off, len) in &slices {
+            fanin_pool.extend_from_slice(&pool[off as usize..(off + len) as usize]);
+            fanin_off.push(fanin_pool.len() as u32);
+        }
+        node.shrink_to_fit();
+        weight.shrink_to_fit();
+        is_leaf.shrink_to_fit();
         Some(ExpandedCircuit {
-            nodes,
+            node,
+            weight,
             fanin_off,
-            fanin_len,
             fanin_pool,
             is_leaf,
             bound,
@@ -281,9 +309,7 @@ mod tests {
         // weights.
         let find = |name: &str, w: u64| {
             let id = c.find(name).unwrap();
-            exp.nodes
-                .iter()
-                .position(|&en| en.node == id && en.weight == w)
+            exp.nodes().position(|en| en.node == id && en.weight == w)
         };
         assert!(find("c", 0).is_some());
         assert!(find("b", 1).is_some());
@@ -301,14 +327,13 @@ mod tests {
         // b^1 exceeds the bound: leaf; a^1/i^1 never created below it.
         let b = c.find("b").unwrap();
         let bi = exp
-            .nodes
-            .iter()
-            .position(|&en| en.node == b && en.weight == 1)
+            .nodes()
+            .position(|en| en.node == b && en.weight == 1)
             .unwrap();
-        assert!(exp.is_leaf[bi]);
+        assert!(exp.is_leaf(bi));
         assert!(exp.fanins(bi).is_empty());
         let a = c.find("a").unwrap();
-        assert!(!exp.nodes.iter().any(|&en| en.node == a && en.weight == 1));
+        assert!(!exp.nodes().any(|en| en.node == a && en.weight == 1));
     }
 
     #[test]
@@ -328,7 +353,7 @@ mod tests {
         c.connect(q, m, vec![]).unwrap();
         c.connect(m, o, vec![]).unwrap();
         let exp = ExpandedCircuit::build(&c, m, 4, 10_000).unwrap();
-        let u_nodes = exp.nodes.iter().filter(|en| en.node == u).count();
+        let u_nodes = exp.nodes().filter(|en| en.node == u).count();
         assert_eq!(u_nodes, 1);
     }
 
@@ -344,8 +369,7 @@ mod tests {
         c.connect(g, o, vec![]).unwrap();
         let exp = ExpandedCircuit::build(&c, g, 3, 10_000).unwrap();
         let g_weights: Vec<u64> = exp
-            .nodes
-            .iter()
+            .nodes()
             .filter(|en| en.node == g)
             .map(|en| en.weight)
             .collect();
@@ -369,8 +393,7 @@ mod tests {
         // DFS all paths from each node to the root, counting weights via
         // the weight difference: child.weight - parent.weight is the edge
         // register count, so path weight = node.weight - root.weight.
-        for (i, en) in exp.nodes.iter().enumerate() {
-            let _ = i;
+        for en in exp.nodes() {
             assert!(en.weight <= 4);
         }
         // (The invariant holds by construction: weight is part of the key.)

@@ -276,7 +276,7 @@ impl<'a> FrtContext<'a> {
                 .filter_map(|(v, exp)| Some((v, exp.as_ref()?)))
                 .flat_map(move |(v, exp)| {
                     let tag = v as u32 + 1;
-                    exp.nodes.iter().filter_map(move |en| {
+                    exp.nodes().filter_map(move |en| {
                         let x = en.node.index();
                         (stamp[x].replace(tag) != tag).then_some((x, v))
                     })

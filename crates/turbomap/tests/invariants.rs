@@ -38,8 +38,8 @@ fn expanded_path_weights_exact() {
             };
             for i in 0..exp.len() {
                 for &f in exp.fanins(i) {
-                    let child = exp.nodes[f as usize];
-                    let parent = exp.nodes[i];
+                    let child = exp.node(f as usize);
+                    let parent = exp.node(i);
                     let delta = child.weight - parent.weight;
                     let matches = prep.node(parent.node).fanin().iter().any(|&e| {
                         let edge = prep.edge(e);
