@@ -1,34 +1,31 @@
 //! The versioned `BENCH_table1.json` artifact.
 //!
-//! Schema `turbomap-bench/table1/v3` — see DESIGN.md for the
+//! Schema `turbomap-bench/table1/v4` — see DESIGN.md for the
 //! field-by-field description. Objects render with insertion-ordered
 //! keys via [`engine::JsonValue`], so the artifact is byte-deterministic
 //! for a given suite result. The `canonical` flag zeroes every timing
-//! field (wall seconds, cpu seconds, phase timers, span-duration
-//! histograms) and **omits** the memory breakdowns (heap behaviour is
-//! scheduling- and allocator-dependent) while keeping the deterministic
-//! algorithmic counters and value histograms; two runs that differ only
-//! in scheduling (`--jobs 1` vs `--jobs 8`) — or in whether tracing or
-//! memory accounting was enabled — produce **byte-identical** canonical
-//! artifacts.
+//! field (wall seconds, cpu seconds, span-duration histograms) and keeps
+//! only the call counts of the layer objects (timing and heap numbers
+//! are scheduling- and allocator-dependent), along with the
+//! deterministic algorithmic counters and value histograms; two runs
+//! that differ only in scheduling (`--jobs 1` vs `--jobs 8`) — or in
+//! whether tracing or memory accounting was enabled — produce
+//! **byte-identical** canonical artifacts.
 //!
-//! Version compatibility is strictly additive: `v2` added the optional
-//! `histograms` / `job_histograms` objects to `v1`, and `v3` adds the
-//! optional `mem_phases` (per algorithm), `job_mem_phases` and `job_mem`
-//! objects — per-phase wall + peak-heap + alloc-count breakdowns keyed
-//! by the span tracer's phase names, omitted when empty or canonical.
-//! Every earlier field keeps its name, type and position, so old
-//! consumers read new artifacts by ignoring the new keys and checking
-//! the schema prefix `turbomap-bench/table1/`.
+//! `v4` replaced the `v3` per-algorithm `phases` / `mem_phases` and
+//! per-circuit `job_phases` / `job_mem_phases` objects with one
+//! `layers` object per algorithm and one `job_layers` object per
+//! circuit, keyed by [`engine::Layer`] name.
 
 use crate::{geomean, Measured, Row};
 use engine::hist::{Histogram, Metric, HIST_NAMES, NUM_HISTS};
-use engine::mem::{MemStats, MEM_PHASE_NAMES, NUM_MEM_PHASES};
-use engine::telemetry::{Telemetry, COUNTER_NAMES, NUM_COUNTERS, PHASE_NAMES};
+use engine::layer::Layer;
+use engine::mem::MemStats;
+use engine::telemetry::{Telemetry, COUNTER_NAMES, NUM_COUNTERS};
 use engine::{JobOutcome, JobReport, JsonValue};
 
 /// Artifact schema identifier (bump on breaking changes).
-pub const SCHEMA: &str = "turbomap-bench/table1/v3";
+pub const SCHEMA: &str = "turbomap-bench/table1/v4";
 
 /// Schema of the large-workload ingestion artifact (`v2` added the
 /// optional `peak_rss_kib` field; `v3` added the vectorized verify
@@ -55,16 +52,26 @@ fn counters_json(t: &Telemetry) -> JsonValue {
     )
 }
 
-fn phases_json(t: &Telemetry, canonical: bool) -> JsonValue {
+/// The layers that ran, each with its calls and — unless canonical —
+/// self and inclusive seconds and its own allocations and heap peak.
+fn layers_json(t: &Telemetry, canonical: bool) -> JsonValue {
     JsonValue::Object(
-        PHASE_NAMES
+        Layer::ALL
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                (
-                    name.to_string(),
-                    secs(t.phase_nanos[i] as f64 / 1e9, canonical),
-                )
+            .map(|&l| (l, t.layer(l)))
+            .filter(|(_, s)| s.calls > 0)
+            .map(|(l, s)| {
+                let mut fields = vec![("calls", JsonValue::UInt(s.calls))];
+                if !canonical {
+                    fields.extend([
+                        ("self_secs", JsonValue::Float(s.self_secs())),
+                        ("inclusive_secs", JsonValue::Float(s.incl_secs())),
+                        ("allocs", JsonValue::UInt(s.allocs)),
+                        ("alloc_bytes", JsonValue::UInt(s.alloc_bytes)),
+                        ("peak_heap_bytes", JsonValue::UInt(s.peak_bytes)),
+                    ]);
+                }
+                (l.name().to_string(), JsonValue::object(fields))
             })
             .collect(),
     )
@@ -109,39 +116,10 @@ fn hists_json(t: &Telemetry, canonical: bool) -> Option<JsonValue> {
     }
 }
 
-/// The `v3` per-phase memory breakdown: for each phase that recorded
-/// anything, wall seconds inside its scopes plus the heap deltas. `None`
-/// when canonical (heap numbers are not scheduling-deterministic) or
-/// when accounting never recorded (gate off → field omitted, keeping
-/// accounting-on/off artifacts identical in canonical mode).
-fn mem_phases_json(mem: &MemStats, canonical: bool) -> Option<JsonValue> {
-    if canonical {
-        return None;
-    }
-    let pairs: Vec<(String, JsonValue)> = (0..NUM_MEM_PHASES)
-        .filter(|&i| !mem.phases[i].is_empty())
-        .map(|i| {
-            let p = &mem.phases[i];
-            (
-                MEM_PHASE_NAMES[i].to_string(),
-                JsonValue::object(vec![
-                    ("wall_secs", JsonValue::Float(p.wall_nanos as f64 / 1e9)),
-                    ("peak_heap_bytes", JsonValue::UInt(p.peak_bytes)),
-                    ("allocs", JsonValue::UInt(p.allocs)),
-                    ("alloc_bytes", JsonValue::UInt(p.alloc_bytes)),
-                ]),
-            )
-        })
-        .collect();
-    if pairs.is_empty() {
-        None
-    } else {
-        Some(JsonValue::Object(pairs))
-    }
-}
-
-/// The `v3` job-level allocation ledger; `None` under the same rules as
-/// [`mem_phases_json`].
+/// The job-level allocation ledger; `None` when canonical (heap numbers
+/// are not scheduling-deterministic) or when accounting never recorded
+/// (gate off → field omitted, keeping accounting-on/off artifacts
+/// identical in canonical mode).
 fn job_mem_json(mem: &MemStats, canonical: bool) -> Option<JsonValue> {
     if canonical || mem.is_empty() {
         return None;
@@ -163,14 +141,11 @@ fn measured_json(m: &Measured, canonical: bool) -> JsonValue {
         ("star", JsonValue::Bool(m.star)),
         ("verified", JsonValue::Bool(m.verified)),
         ("cpu_secs", secs(m.cpu, canonical)),
-        ("phases", phases_json(&m.telemetry, canonical)),
+        ("layers", layers_json(&m.telemetry, canonical)),
         ("counters", counters_json(&m.telemetry)),
     ];
     if let Some(h) = hists_json(&m.telemetry, canonical) {
         pairs.push(("histograms", h));
-    }
-    if let Some(mp) = mem_phases_json(&m.telemetry.mem, canonical) {
-        pairs.push(("mem_phases", mp));
     }
     JsonValue::object(pairs)
 }
@@ -214,13 +189,10 @@ fn circuit_json(report: &JobReport<Row>, canonical: bool) -> JsonValue {
         }
     }
     pairs.push(("wall_secs", secs(report.wall.as_secs_f64(), canonical)));
-    pairs.push(("job_phases", phases_json(&report.telemetry, canonical)));
+    pairs.push(("job_layers", layers_json(&report.telemetry, canonical)));
     pairs.push(("job_counters", counters_json(&report.telemetry)));
     if let Some(h) = hists_json(&report.telemetry, canonical) {
         pairs.push(("job_histograms", h));
-    }
-    if let Some(mp) = mem_phases_json(&report.telemetry.mem, canonical) {
-        pairs.push(("job_mem_phases", mp));
     }
     if let Some(jm) = job_mem_json(&report.telemetry.mem, canonical) {
         pairs.push(("job_mem", jm));
@@ -390,7 +362,12 @@ mod tests {
     fn fake_measured(phi: u64) -> Measured {
         let mut t = Telemetry::default();
         t.counters[0] = 42;
-        t.phase_nanos[0] = 1_500_000_000;
+        t.layers[Layer::Label as usize] = engine::LayerStats {
+            calls: 3,
+            incl_nanos: 1_500_000_000,
+            self_nanos: 800_000_000,
+            ..Default::default()
+        };
         for v in [2u64, 3, 3, 5] {
             t.hists[Metric::CutSize as usize].record(v);
         }
@@ -400,10 +377,11 @@ mod tests {
         t.mem.allocs = 11;
         t.mem.alloc_bytes = 2_222;
         t.mem.peak_bytes = 1_111;
-        t.mem.phases[engine::mem::MemPhase::LabelSweep as usize] = engine::mem::MemPhaseStats {
-            wall_nanos: 700_000_000,
+        t.layers[Layer::FrtcheckSweep as usize] = engine::LayerStats {
+            calls: 2,
+            incl_nanos: 700_000_000,
+            self_nanos: 700_000_000,
             allocs: 9,
-            frees: 8,
             alloc_bytes: 2_000,
             peak_bytes: 999,
         };
@@ -441,32 +419,45 @@ mod tests {
     fn canonical_artifact_has_no_timing() {
         let reports = vec![fake_report("a")];
         let text = table1_json(&reports, 5, 3008, true).render_pretty();
-        assert!(text.contains("\"schema\": \"turbomap-bench/table1/v3\""));
+        assert!(text.contains("\"schema\": \"turbomap-bench/table1/v4\""));
         assert!(text.contains("\"cpu_secs\": 0.0"));
         assert!(!text.contains("1.5"), "timing leaked: {text}");
+        // Layers keep only their call counts.
+        let compact = table1_json(&reports, 5, 3008, true).render();
+        assert!(
+            compact
+                .contains("\"layers\":{\"label\":{\"calls\":3},\"frtcheck_sweep\":{\"calls\":2}}"),
+            "{compact}"
+        );
+        assert!(!text.contains("self_secs"), "timing leaked: {text}");
         // Counters survive canonicalisation.
         assert!(text.contains("\"flow_augmentations\": 42"));
         // Value histograms survive; the span-duration histogram does not.
         assert!(text.contains("\"cut_size\""));
         assert!(!text.contains("\"span_nanos\""), "timing hist leaked");
-        // Memory breakdowns are omitted wholesale in canonical mode, so
+        // Memory is omitted wholesale in canonical mode, so
         // accounting-on and accounting-off runs stay byte-identical.
-        assert!(!text.contains("mem_phases"), "mem leaked: {text}");
+        assert!(!text.contains("peak_heap_bytes"), "mem leaked: {text}");
         assert!(!text.contains("job_mem"), "mem leaked: {text}");
     }
 
     #[test]
-    fn non_canonical_artifact_carries_mem_breakdowns() {
+    fn non_canonical_artifact_carries_layer_breakdowns() {
         let mut reports = vec![fake_report("a")];
-        reports[0].telemetry.mem = fake_measured(5).telemetry.mem;
+        reports[0].telemetry = fake_measured(5).telemetry;
         let text = table1_json(&reports, 5, 3008, false).render();
-        // Per-algorithm breakdown keyed by the tracer's phase names.
-        assert!(text.contains(
-            "\"mem_phases\":{\"frtcheck_sweep\":{\"wall_secs\":0.7,\
-             \"peak_heap_bytes\":999,\"allocs\":9,\"alloc_bytes\":2000}}"
-        ));
+        // Per-algorithm breakdown keyed by layer name, only layers that ran.
+        assert!(
+            text.contains(
+                "\"layers\":{\"label\":{\"calls\":3,\"self_secs\":0.8,\"inclusive_secs\":1.5,\
+             \"allocs\":0,\"alloc_bytes\":0,\"peak_heap_bytes\":0},\
+             \"frtcheck_sweep\":{\"calls\":2,\"self_secs\":0.7,\"inclusive_secs\":0.7,\
+             \"allocs\":9,\"alloc_bytes\":2000,\"peak_heap_bytes\":999}}"
+            ),
+            "{text}"
+        );
         // Job-level breakdown plus the allocation ledger.
-        assert!(text.contains("\"job_mem_phases\""));
+        assert!(text.contains("\"job_layers\":{\"label\""));
         assert!(text.contains(
             "\"job_mem\":{\"peak_heap_bytes\":1111,\"allocs\":11,\"frees\":0,\
              \"alloc_bytes\":2222,\"free_bytes\":0}"

@@ -11,13 +11,14 @@
 //! when the candidate passes, 1 on regressions (quality changes, wall
 //! time more than P percent over baseline — default 25 — or, with
 //! `--mem-threshold-pct`, per-job peak memory more than M percent over
-//! baseline), 2 on usage or parse errors. When a wall or memory gate
-//! trips, the report names the phase whose wall/peak grew the most
-//! (from the schema-v3 `mem_phases` breakdowns). Wall and memory
+//! baseline), 2 on usage or parse errors. Both artifacts must carry the
+//! current schema (`table1/v4` or `large/v4`). When a wall or memory
+//! gate trips, the report names the layer whose self time / self peak
+//! grew the most (from the `job_layers` breakdowns). Wall and memory
 //! gating are skipped automatically when either artifact is canonical
 //! (timing zeroed, memory omitted by design).
 //!
-//! `--verify-speedup X` gates `large/v3` rows on the verify phase's
+//! `--verify-speedup X` gates `large/v4` rows on the verify phase's
 //! vectorization speedup: `verify_scalar_secs / verify_secs` must be at
 //! least X on every row. The ratio compares the two simulation engines
 //! within one run, so only the *candidate* needs real timings — the

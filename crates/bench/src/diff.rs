@@ -1,6 +1,6 @@
 //! Bench-regression analysis: compare two `turbomap-bench/*` artifacts
-//! of the same family (`table1/v*` mapping runs, or `large/v*`
-//! ingestion runs).
+//! of the same family (`table1/v4` mapping runs, or `large/v4`
+//! ingestion runs; other versions are rejected).
 //!
 //! The `benchdiff` binary reads a **baseline** artifact (typically the
 //! committed `BENCH_table1.json` or `BENCH_large.json`) and a
@@ -21,18 +21,19 @@
 //!   meaningless there);
 //! * with [`DiffOptions::mem_threshold`] set, a **peak-memory** increase
 //!   beyond that fraction gates too — per-job peak heap for table1 rows
-//!   (`job_mem.peak_heap_bytes`, schema v3), peak RSS for large rows —
+//!   (`job_mem.peak_heap_bytes`), peak RSS for large rows —
 //!   again skipped when either artifact is canonical (canonical
 //!   artifacts omit memory, which is allocator-dependent);
 //! * histogram quantile shifts are reported but never gate — they are
 //!   scheduling-sensitive distributions, not acceptance criteria.
 //!
-//! When a wall or memory gate trips, the offending **phase** is named:
-//! the diff scans the v3 per-phase breakdowns (`job_mem_phases`, falling
-//! back to the per-algorithm `mem_phases` and to the v2 wall-only
-//! `job_phases`) and appends `attributed to phase \`<name>\`` with the
-//! phase's own before/after numbers to the regression line, so CI logs
-//! point at the subsystem, not just the circuit.
+//! When a wall or memory gate trips, the offending **layer** is named:
+//! the diff scans the table1 rows' `job_layers` by **self** time and
+//! self heap peak — so a child's regression is never blamed on the
+//! layer enclosing it — and appends `attributed to layer \`<name>\``
+//! with the layer's own before/after numbers to the regression line, so
+//! CI logs point at the subsystem, not just the circuit. Large rows
+//! carry wall-only `job_phases` and name a phase the same way.
 //!
 //! The rendered report is byte-deterministic for a given pair of
 //! artifacts: circuits sort by name, floats render through the same
@@ -173,22 +174,26 @@ fn circuit_map(doc: &JsonValue) -> Result<Vec<(String, &JsonValue)>, String> {
     Ok(out)
 }
 
-/// Known artifact families (the path segment between `turbomap-bench/`
-/// and the version).
-const FAMILIES: [&str; 2] = ["table1", "large"];
+/// The supported artifact schemas and their families.
+const SCHEMAS: [(&str, &str); 2] = [
+    (crate::artifact::SCHEMA, "table1"),
+    (crate::artifact::LARGE_SCHEMA, "large"),
+];
 
 /// Validates the schema and returns the artifact family.
-fn check_schema<'a>(doc: &'a JsonValue, which: &str) -> Result<&'a str, String> {
+fn check_schema(doc: &JsonValue, which: &str) -> Result<&'static str, String> {
     let schema = doc
         .get("schema")
         .and_then(|s| s.as_str())
         .ok_or_else(|| format!("{which}: missing `schema` field"))?;
-    for family in FAMILIES {
-        if schema.starts_with(&format!("turbomap-bench/{family}/")) {
-            return Ok(family);
-        }
+    match SCHEMAS.iter().find(|(s, _)| *s == schema) {
+        Some(&(_, family)) => Ok(family),
+        None => Err(format!(
+            "{which}: unsupported schema `{schema}` (supported: {}, {}); \
+             regenerate it with this version's table1",
+            SCHEMAS[0].0, SCHEMAS[1].0
+        )),
     }
-    Err(format!("{which}: unsupported schema `{schema}`"))
 }
 
 fn is_canonical(doc: &JsonValue) -> bool {
@@ -218,86 +223,60 @@ fn diff_hists(base: &JsonValue, cand: &JsonValue, key: &str, scope: &str, notes:
     }
 }
 
-fn add_phase(out: &mut Vec<(String, f64, u64)>, name: &str, wall: f64, peak: u64) {
-    if let Some(e) = out.iter_mut().find(|(n, _, _)| n == name) {
-        e.1 += wall;
-        e.2 = e.2.max(peak);
-    } else {
-        out.push((name.to_string(), wall, peak));
-    }
-}
-
-fn collect_mem_phases(obj: &JsonValue, out: &mut Vec<(String, f64, u64)>) {
-    let JsonValue::Object(pairs) = obj else {
-        return;
-    };
-    for (name, p) in pairs {
-        let wall = p.get("wall_secs").and_then(as_f64).unwrap_or(0.0);
-        let peak = p
-            .get("peak_heap_bytes")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        add_phase(out, name, wall, peak);
-    }
-}
-
-/// Per-phase `(name, wall_secs, peak_heap_bytes)` profile of a circuit
-/// row. Prefers the v3 job-level `job_mem_phases`, falls back to the
-/// per-algorithm `mem_phases` (walls summed, peaks max'd — peaks are
-/// high-water marks, not flows), and finally to the v2 wall-only
-/// `job_phases`. Sorted by name so attribution is deterministic.
-fn phase_profile(row: &JsonValue) -> Vec<(String, f64, u64)> {
-    let mut out = Vec::new();
-    if let Some(jmp) = row.get("job_mem_phases") {
-        collect_mem_phases(jmp, &mut out);
-    } else {
-        for alg in ALGORITHMS {
-            if let Some(mp) = row.get(alg).and_then(|a| a.get("mem_phases")) {
-                collect_mem_phases(mp, &mut out);
-            }
-        }
-    }
-    if out.is_empty() {
-        if let Some(JsonValue::Object(pairs)) = row.get("job_phases") {
-            for (name, v) in pairs {
-                if let Some(w) = as_f64(v) {
-                    if w > 0.0 {
-                        add_phase(&mut out, name, w, 0);
-                    }
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Names the phase whose wall time (or, with `by_peak`, peak heap) grew
-/// the most between the two rows, with its own before/after numbers.
-/// `None` when no phase grew or no breakdown exists on the candidate.
-fn attribute(base: &JsonValue, cand: &JsonValue, by_peak: bool) -> Option<String> {
-    let bp = phase_profile(base);
-    let cp = phase_profile(cand);
-    let mut best: Option<(f64, String)> = None;
-    for (name, cw, cpk) in &cp {
-        let (bw, bpk) = bp
+/// Per-layer `(name, secs, peak_heap_bytes)` profile of a circuit row:
+/// self seconds and self peaks from a table1 row's `job_layers`, or
+/// the wall-only `job_phases` of a large row.
+fn layer_profile(row: &JsonValue) -> Vec<(&str, f64, u64)> {
+    let num = |v: &JsonValue, key: &str| v.get(key).and_then(as_f64).unwrap_or(0.0);
+    match (row.get("job_layers"), row.get("job_phases")) {
+        (Some(JsonValue::Object(layers)), _) => layers
             .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, w, p)| (*w, *p))
-            .unwrap_or((0.0, 0));
+            .map(|(name, l)| {
+                (
+                    name.as_str(),
+                    num(l, "self_secs"),
+                    num(l, "peak_heap_bytes") as u64,
+                )
+            })
+            .collect(),
+        (None, Some(JsonValue::Object(phases))) => phases
+            .iter()
+            .filter_map(|(name, v)| Some((name.as_str(), as_f64(v)?, 0)))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Names the layer whose self time (or, with `by_peak`, self heap peak)
+/// grew the most between the two rows, with its own before/after
+/// numbers. `None` when none grew or the candidate has no breakdown.
+fn attribute(base: &JsonValue, cand: &JsonValue, by_peak: bool) -> Option<String> {
+    let (noun, time) = if cand.get("job_layers").is_some() {
+        ("layer", "self")
+    } else {
+        ("phase", "wall")
+    };
+    let bp = layer_profile(base);
+    let mut best: Option<(f64, String)> = None;
+    for (name, cs, cpk) in layer_profile(cand) {
+        let (bs, bpk) = bp
+            .iter()
+            .find(|(n, _, _)| *n == name)
+            .map_or((0.0, 0), |&(_, s, p)| (s, p));
         let delta = if by_peak {
-            *cpk as f64 - bpk as f64
+            cpk as f64 - bpk as f64
         } else {
-            cw - bw
+            cs - bs
         };
-        if delta <= 0.0 {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(d, _)| delta > *d) {
+        if delta > 0.0 && best.as_ref().is_none_or(|(d, _)| delta > *d) {
             let line = if by_peak {
-                format!("`{name}` (peak heap {bpk} -> {cpk} bytes)")
+                format!("{noun} `{name}` (peak heap {bpk} -> {cpk} bytes)")
             } else {
-                format!("`{name}` (wall {} -> {})", fmt_secs(bw), fmt_secs(*cw))
+                format!(
+                    "{noun} `{name}` ({time} {} -> {})",
+                    fmt_secs(bs),
+                    fmt_secs(cs)
+                )
             };
             best = Some((delta, line));
         }
@@ -305,8 +284,8 @@ fn attribute(base: &JsonValue, cand: &JsonValue, by_peak: bool) -> Option<String
     best.map(|(_, l)| l)
 }
 
-/// Per-job peak memory of a circuit row in bytes: the v3 heap ledger
-/// for table1 rows, peak RSS for large ingestion rows.
+/// Per-job peak memory of a circuit row in bytes: the heap ledger for
+/// table1 rows, peak RSS for large ingestion rows.
 fn row_peak_bytes(row: &JsonValue) -> Option<u64> {
     row.get("job_mem")
         .and_then(|m| m.get("peak_heap_bytes"))
@@ -404,7 +383,7 @@ fn diff_circuit(
                 );
                 if ratio > 1.0 + opts.wall_threshold {
                     if let Some(attr) = attribute(base, cand, false) {
-                        line = format!("{line}; attributed to phase {attr}");
+                        line = format!("{line}; attributed to {attr}");
                     }
                     regressions.push(line.clone());
                 }
@@ -428,7 +407,7 @@ fn diff_circuit(
                     );
                     if ratio > 1.0 + mem_threshold {
                         if let Some(attr) = attribute(base, cand, true) {
-                            line = format!("{line}; attributed to phase {attr}");
+                            line = format!("{line}; attributed to {attr}");
                         }
                         regressions.push(line.clone());
                     }
@@ -472,7 +451,8 @@ fn diff_circuit(
 ///
 /// # Errors
 ///
-/// Returns a message when either document is not a table1 artifact.
+/// Returns a message when either document is not a supported artifact
+/// or the two belong to different families.
 pub fn diff_artifacts(
     base: &JsonValue,
     cand: &JsonValue,
@@ -603,7 +583,7 @@ mod tests {
             ])
         };
         JsonValue::object(vec![
-            ("schema", JsonValue::str("turbomap-bench/table1/v2")),
+            ("schema", JsonValue::str(crate::artifact::SCHEMA)),
             ("canonical", JsonValue::Bool(canonical)),
             (
                 "circuits",
@@ -736,9 +716,33 @@ mod tests {
         assert!(diff_artifacts(&bogus, &base, &DiffOptions::default()).is_err());
     }
 
+    #[test]
+    fn older_schemas_are_rejected_naming_the_supported_one() {
+        let cand = artifact(3, 10, 1.0, false);
+        for old in ["turbomap-bench/table1/v3", "turbomap-bench/table1/v2"] {
+            let base = JsonValue::object(vec![
+                ("schema", JsonValue::str(old)),
+                ("circuits", JsonValue::Array(Vec::new())),
+            ]);
+            let err = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported schema `{old}`")),
+                "{err}"
+            );
+            assert!(
+                err.contains("supported: turbomap-bench/table1/v4,"),
+                "{err}"
+            );
+        }
+        let old_large =
+            JsonValue::object(vec![("schema", JsonValue::str("turbomap-bench/large/v3"))]);
+        let err = diff_artifacts(&old_large, &cand, &DiffOptions::default()).unwrap_err();
+        assert!(err.contains("turbomap-bench/large/v4)"), "{err}");
+    }
+
     fn large_artifact(gates: u64, bytes: u64, wall: f64) -> JsonValue {
         JsonValue::object(vec![
-            ("schema", JsonValue::str("turbomap-bench/large/v1")),
+            ("schema", JsonValue::str(crate::artifact::LARGE_SCHEMA)),
             ("canonical", JsonValue::Bool(false)),
             (
                 "circuits",
@@ -757,11 +761,11 @@ mod tests {
         ])
     }
 
-    /// A `large/v3` row with the verify-phase fields.
-    fn large_v3_artifact(canonical: bool, verify: f64, scalar: f64) -> JsonValue {
+    /// A large row with the verify-phase fields.
+    fn large_verify_artifact(canonical: bool, verify: f64, scalar: f64) -> JsonValue {
         let z = |v: f64| JsonValue::Float(if canonical { 0.0 } else { v });
         JsonValue::object(vec![
-            ("schema", JsonValue::str("turbomap-bench/large/v3")),
+            ("schema", JsonValue::str(crate::artifact::LARGE_SCHEMA)),
             ("canonical", JsonValue::Bool(canonical)),
             (
                 "circuits",
@@ -793,8 +797,8 @@ mod tests {
         };
         // Canonical baseline (the checked-in artifact) + timed
         // candidate: the gate still runs — the ratio is machine-local.
-        let base = large_v3_artifact(true, 0.0, 0.0);
-        let fast = large_v3_artifact(false, 0.01, 0.6); // 60x
+        let base = large_verify_artifact(true, 0.0, 0.0);
+        let fast = large_verify_artifact(false, 0.01, 0.6); // 60x
         let report = diff_artifacts(&base, &fast, &opts).unwrap();
         assert!(report.is_clean(), "{:?}", report.regressions);
         assert!(!report.verify_skipped);
@@ -804,7 +808,7 @@ mod tests {
             .any(|n| n.contains("verify speedup: 60.0x")));
 
         // A candidate whose vector engine lost its edge gates.
-        let slow = large_v3_artifact(false, 0.5, 0.6); // 1.2x < 2.0 floor
+        let slow = large_verify_artifact(false, 0.5, 0.6); // 1.2x < 2.0 floor
         let report = diff_artifacts(&base, &slow, &opts).unwrap();
         assert_eq!(report.regressions.len(), 1);
         assert!(
@@ -826,8 +830,8 @@ mod tests {
 
     #[test]
     fn verify_shape_drift_is_structural() {
-        let base = large_v3_artifact(true, 0.0, 0.0);
-        let mut cand = large_v3_artifact(true, 0.0, 0.0);
+        let base = large_verify_artifact(true, 0.0, 0.0);
+        let mut cand = large_verify_artifact(true, 0.0, 0.0);
         // Mutate verify_cycles: deterministic per preset, so any drift
         // (here 16 -> 8) must gate even between canonical artifacts.
         if let JsonValue::Object(pairs) = &mut cand {
@@ -876,20 +880,28 @@ mod tests {
         assert!(!report.circuits[0].notes.is_empty());
     }
 
-    /// A v3-shaped artifact: one circuit with a job-level memory ledger
-    /// and a two-phase breakdown (`frtcheck_sweep` = the LabelUpdate
-    /// sweeps, `min_cut`).
-    fn mem_artifact(wall: f64, sweep_wall: f64, peak: u64, sweep_peak: u64) -> JsonValue {
-        let phase = |wall: f64, peak: u64, allocs: u64| {
+    /// A table1 row with a job-level memory ledger and two layers:
+    /// `frtcheck_sweep` (the label sweeps) enclosing `min_cut`. Times and
+    /// peaks are self; the sweep's inclusive time covers the cuts.
+    fn layered_artifact(
+        wall: f64,
+        sweep_self: f64,
+        cut_self: f64,
+        peak: u64,
+        sweep_peak: u64,
+    ) -> JsonValue {
+        let layer = |self_secs: f64, inclusive: f64, peak: u64, allocs: u64| {
             JsonValue::object(vec![
-                ("wall_secs", JsonValue::Float(wall)),
-                ("peak_heap_bytes", JsonValue::UInt(peak)),
+                ("calls", JsonValue::UInt(4)),
+                ("self_secs", JsonValue::Float(self_secs)),
+                ("inclusive_secs", JsonValue::Float(inclusive)),
                 ("allocs", JsonValue::UInt(allocs)),
                 ("alloc_bytes", JsonValue::UInt(peak * 2)),
+                ("peak_heap_bytes", JsonValue::UInt(peak)),
             ])
         };
         JsonValue::object(vec![
-            ("schema", JsonValue::str("turbomap-bench/table1/v3")),
+            ("schema", JsonValue::str(crate::artifact::SCHEMA)),
             ("canonical", JsonValue::Bool(false)),
             (
                 "circuits",
@@ -898,10 +910,13 @@ mod tests {
                     ("status", JsonValue::str("ok")),
                     ("wall_secs", JsonValue::Float(wall)),
                     (
-                        "job_mem_phases",
+                        "job_layers",
                         JsonValue::object(vec![
-                            ("frtcheck_sweep", phase(sweep_wall, sweep_peak, 50)),
-                            ("min_cut", phase(0.2, 4_000, 10)),
+                            (
+                                "frtcheck_sweep",
+                                layer(sweep_self, sweep_self + cut_self, sweep_peak, 50),
+                            ),
+                            ("min_cut", layer(cut_self, cut_self, 4_000, 10)),
                         ]),
                     ),
                     (
@@ -920,65 +935,47 @@ mod tests {
     }
 
     #[test]
-    fn wall_regression_names_the_inflated_phase() {
-        // The acceptance scenario: the LabelUpdate sweep's wall doubles
-        // (0.7s -> 1.4s), dragging the job from 1.0s to 1.7s. The gate
-        // must not just flag the circuit — it must name `frtcheck_sweep`.
-        let base = mem_artifact(1.0, 0.7, 10_000, 8_000);
-        let cand = mem_artifact(1.7, 1.4, 10_000, 8_000);
+    fn wall_regression_names_the_inflated_layer() {
+        // The label sweep's own time doubles (0.7s -> 1.4s), dragging the
+        // job from 1.0s to 1.7s. The gate must not just flag the circuit —
+        // it must name `frtcheck_sweep`.
+        let base = layered_artifact(1.0, 0.7, 0.2, 10_000, 8_000);
+        let cand = layered_artifact(1.7, 1.4, 0.2, 10_000, 8_000);
         let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
         assert_eq!(report.regressions.len(), 1);
         let r = &report.regressions[0];
         assert!(
-            r.contains("attributed to phase `frtcheck_sweep` (wall 0.7000s -> 1.4000s)"),
+            r.contains("attributed to layer `frtcheck_sweep` (self 0.7000s -> 1.4000s)"),
             "{r}"
         );
         assert!(render_report(&report).contains("frtcheck_sweep"));
     }
 
     #[test]
-    fn wall_attribution_falls_back_to_v2_job_phases() {
-        // No v3 memory objects at all — a v2 baseline still attributes
-        // through the wall-only `job_phases` object.
-        let v2 = |wall: f64, sweep: f64| {
-            JsonValue::object(vec![
-                ("schema", JsonValue::str("turbomap-bench/table1/v2")),
-                ("canonical", JsonValue::Bool(false)),
-                (
-                    "circuits",
-                    JsonValue::Array(vec![JsonValue::object(vec![
-                        ("name", JsonValue::str("s27")),
-                        ("status", JsonValue::str("ok")),
-                        ("wall_secs", JsonValue::Float(wall)),
-                        (
-                            "job_phases",
-                            JsonValue::object(vec![
-                                ("frtcheck_sweep", JsonValue::Float(sweep)),
-                                ("min_cut", JsonValue::Float(0.1)),
-                            ]),
-                        ),
-                    ])]),
-                ),
-            ])
-        };
-        let report = diff_artifacts(&v2(1.0, 0.6), &v2(1.6, 1.2), &DiffOptions::default()).unwrap();
+    fn child_regression_is_not_blamed_on_its_parent() {
+        // `min_cut` slows 0.2s -> 0.9s inside an unchanged sweep: the
+        // sweep's inclusive time grows by the same 0.7s, its self time
+        // not at all. Attribution by self time names the child.
+        let base = layered_artifact(1.0, 0.7, 0.2, 10_000, 8_000);
+        let cand = layered_artifact(1.7, 0.7, 0.9, 10_000, 8_000);
+        let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
         assert_eq!(report.regressions.len(), 1);
+        let r = &report.regressions[0];
         assert!(
-            report.regressions[0].contains("attributed to phase `frtcheck_sweep`"),
-            "{:?}",
-            report.regressions
+            r.contains("attributed to layer `min_cut` (self 0.2000s -> 0.9000s)"),
+            "{r}"
         );
     }
 
     #[test]
-    fn mem_gate_fires_past_threshold_and_names_the_phase() {
-        let base = mem_artifact(1.0, 0.7, 10_000, 8_000);
-        let bloated = mem_artifact(1.0, 0.7, 20_000, 18_000);
+    fn mem_gate_fires_past_threshold_and_names_the_layer() {
+        let base = layered_artifact(1.0, 0.7, 0.2, 10_000, 8_000);
+        let bloated = layered_artifact(1.0, 0.7, 0.2, 20_000, 18_000);
         // Off by default: peak doubling is note-worthy only when asked.
         let report = diff_artifacts(&base, &bloated, &DiffOptions::default()).unwrap();
         assert!(report.is_clean());
-        // With the gate on, +100% > 25% fails and names the phase whose
-        // peak grew.
+        // With the gate on, +100% > 25% fails and names the layer whose
+        // own peak grew.
         let opts = DiffOptions {
             mem_threshold: Some(0.25),
             ..DiffOptions::default()
@@ -991,11 +988,11 @@ mod tests {
             "{r}"
         );
         assert!(
-            r.contains("attributed to phase `frtcheck_sweep` (peak heap 8000 -> 18000 bytes)"),
+            r.contains("attributed to layer `frtcheck_sweep` (peak heap 8000 -> 18000 bytes)"),
             "{r}"
         );
         // Within threshold: reported but not gated.
-        let ok = mem_artifact(1.0, 0.7, 11_000, 8_800);
+        let ok = layered_artifact(1.0, 0.7, 0.2, 11_000, 8_800);
         let report = diff_artifacts(&base, &ok, &opts).unwrap();
         assert!(report.is_clean());
         assert!(report.circuits[0]

@@ -1,17 +1,19 @@
 //! Benchmark harness support: runs the paper's three algorithms on a
 //! circuit and formats Table-1-style reports.
 //!
-//! Timing comes from one source: the `engine` phase timers that the
-//! mapping crates themselves maintain (label / search / generate /
-//! verify). The text report and the JSON artifact read the same
-//! [`engine::Telemetry`] snapshots, so they can never disagree.
+//! Timing comes from one source: the `engine` layer guards that the
+//! mapping crates themselves open (label / search / generate / verify
+//! and the finer layers inside them). The text report and the JSON
+//! artifact read the same [`engine::Telemetry`] snapshots, so they can
+//! never disagree.
 
 pub mod artifact;
 pub mod batch;
 pub mod diff;
 pub mod large;
 
-use engine::telemetry::{self, Phase, Telemetry};
+use engine::layer::{self, Layer};
+use engine::telemetry::{self, Telemetry};
 use netlist::Circuit;
 
 /// One algorithm's measured row fragment.
@@ -23,14 +25,14 @@ pub struct Measured {
     pub luts: usize,
     /// FF count (register sharing).
     pub ffs: usize,
-    /// Mapping seconds: the label + search + generate phase timers
-    /// (verification is timed separately under [`Phase::Verify`]).
+    /// Mapping seconds: the label + search + generate layers, inclusive
+    /// (verification is timed separately under [`Layer::Verify`]).
     pub cpu: f64,
     /// `⋆`: no usable equivalent initial state.
     pub star: bool,
     /// Sequential equivalence verified (random vectors).
     pub verified: bool,
-    /// Full telemetry delta attributed to this algorithm (phase timers
+    /// Full telemetry delta attributed to this algorithm (layer totals
     /// plus algorithmic counters).
     pub telemetry: Telemetry,
 }
@@ -70,9 +72,13 @@ impl Row {
 /// for its largest circuits).
 pub const VERIFY_VECTORS: usize = 3008;
 
-/// Mapping seconds of a telemetry delta: every phase except verify.
+/// Mapping seconds of a telemetry delta: the label, search and generate
+/// layers. They never nest in one another, so their inclusive times add.
 fn mapping_secs(t: &Telemetry) -> f64 {
-    t.total_phase_secs() - t.phase_secs(Phase::Verify)
+    [Layer::Label, Layer::Search, Layer::Generate]
+        .iter()
+        .map(|&l| t.layer(l).incl_secs())
+        .sum()
 }
 
 /// Runs the three algorithms on one circuit, returning an error string
@@ -131,9 +137,10 @@ pub fn try_run_row_partitioned(
 ) -> Result<Row, String> {
     let k = opts.k;
     let check = |mapped: &Circuit, seed: u64, mode: netlist::EquivMode| -> bool {
-        let _t = telemetry::time_phase(Phase::Verify);
-        let _s = engine::trace::span1("verify", "vectors", VERIFY_VECTORS as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Verify);
+        let _l = layer::enter_with(
+            Layer::Verify,
+            [Some(("vectors", VERIFY_VECTORS as u64)), None],
+        );
         verify
             && netlist::random_equiv_mode(c, mapped, VERIFY_VECTORS, seed, mode)
                 .map(|r| r.is_equivalent())
@@ -281,8 +288,11 @@ mod tests {
                 > 0
         );
         // Verification was timed but excluded from the mapping cpu.
-        assert!(row.turbomap_frt.telemetry.phase_secs(Phase::Verify) > 0.0);
-        assert!(row.turbomap_frt.cpu <= row.turbomap_frt.telemetry.total_phase_secs());
+        let t = &row.turbomap_frt.telemetry;
+        assert!(t.layer(Layer::Verify).incl_nanos > 0);
+        let total: f64 = Layer::COARSE.iter().map(|&l| t.layer(l).incl_secs()).sum();
+        assert!(row.turbomap_frt.cpu <= total);
+        assert!(row.turbomap_frt.cpu >= t.layer(Layer::Label).incl_secs());
         // FlowMap-frt does no FRTcheck sweeps.
         assert_eq!(row.flowmap_frt.telemetry.counter(Counter::FrtSweeps), 0);
     }

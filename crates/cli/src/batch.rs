@@ -259,7 +259,7 @@ pub fn run_batch_dir(args: &BatchArgs) -> Result<BatchSummary, String> {
     }
 
     if let Some(path) = &args.metrics_out {
-        let text = crate::metrics::render_metrics(&reports);
+        let text = engine::prom::render_job_metrics(&reports);
         std::fs::write(path, text).map_err(|e| format!("writing `{path}`: {e}"))?;
     }
 

@@ -118,9 +118,9 @@ mod tests {
         engine::trace::set_enabled(true);
         engine::trace::job_start();
         {
-            let _outer = engine::trace::span("outer");
+            let _outer = engine::layer::enter(engine::Layer::Label);
             engine::trace::event1("tick", "n", 1);
-            let _inner = engine::trace::span1("inner", "k", 5);
+            let _inner = engine::layer::enter_with(engine::Layer::MinCut, [Some(("k", 5)), None]);
         }
         let buffer = engine::trace::take_thread();
         engine::trace::set_enabled(false);

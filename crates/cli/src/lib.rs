@@ -6,7 +6,6 @@
 
 pub mod batch;
 pub mod fuzz;
-pub mod metrics;
 pub mod profile;
 pub mod serve;
 

@@ -12,7 +12,7 @@ use tmfrt_cli::profile::{run_profile, ProfileArgs};
 use tmfrt_cli::serve::{run_serve, ServeArgs};
 use tmfrt_cli::{load_circuit, run, run_explain, run_stats, Args, ExplainArgs, StatsArgs};
 
-/// Heap accounting for `/metrics`, per-job live counters and the v3
+/// Heap accounting for `/metrics`, per-job live counters and the
 /// artifact breakdowns. The wrapper always delegates to the system
 /// allocator; counting is off until `engine::mem::set_enabled`.
 #[global_allocator]

@@ -27,8 +27,8 @@
 use crate::{load_circuit, run, Args};
 use engine::cancel::{self, CancelReason};
 use engine::http::{Request, Response, Server, ServerConfig};
-use engine::telemetry::{self, Counter, LiveTelemetry, Telemetry, COUNTER_NAMES, PHASE_NAMES};
-use engine::{log, trace, CancelToken, JsonValue, Pool, PromWriter};
+use engine::telemetry::{self, Counter, LiveTelemetry, Telemetry, COUNTER_NAMES};
+use engine::{log, trace, CancelToken, JsonValue, Layer, Pool, PromWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,7 +61,7 @@ ENDPOINTS
                     report=1 (turbomap-frt only) also records a
                     turbomap-report/v1 certificate per job
   GET  /jobs        all jobs (id, state, status, wall)
-  GET  /jobs/<id>   one job: phase timers, counters- and peak-heap-so-far
+  GET  /jobs/<id>   one job: phase times, counters- and peak-heap-so-far
                     while running, final telemetry and report when done
   GET  /jobs/<id>/report  the job's turbomap-report/v1 JSON (requires a
                     finished report=1 job; 404 otherwise)
@@ -407,7 +407,7 @@ fn monitor_loop(state: &ServeState) {
                         );
                     }
                 }
-                let phase = job.live.current_phase().map(|p| PHASE_NAMES[p as usize]);
+                let phase = job.live.current_layer().map(Layer::name);
                 if phase != job.last_phase {
                     if let Some(name) = phase {
                         transitions.push((job.id, name));
@@ -817,10 +817,9 @@ fn telemetry_json(
         .zip(t.counters.iter())
         .map(|(name, v)| (*name, JsonValue::UInt(*v)))
         .collect();
-    let phases = PHASE_NAMES
+    let phases = Layer::COARSE
         .iter()
-        .zip(t.phase_nanos.iter())
-        .map(|(name, nanos)| (*name, JsonValue::UInt(nanos / 1_000)))
+        .map(|&l| (l.name(), JsonValue::UInt(t.layer(l).incl_nanos / 1_000)))
         .collect();
     let mut pairs = vec![
         ("counters", JsonValue::object(counters)),
@@ -944,7 +943,7 @@ fn job_detail(state: &ServeState, id: u64) -> Option<JsonValue> {
         }
         (None, JobState::Running) => {
             let live = j.live.snapshot();
-            let phase = j.live.current_phase().map(|p| PHASE_NAMES[p as usize]);
+            let phase = j.live.current_layer().map(Layer::name);
             headline(&mut pairs, &live);
             pairs.extend(telemetry_json(&live, phase));
         }

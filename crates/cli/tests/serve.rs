@@ -275,8 +275,8 @@ fn serve_trace_endpoint_and_mem_metrics() {
     let mut profile = engine::profile::Profile::new();
     profile.add_trace(&doc).expect("trace is well-formed");
     assert!(
-        profile.spans.contains_key("phi_search"),
-        "no phi_search span in {:?}",
+        profile.spans.contains_key("frtcheck_sweep"),
+        "no frtcheck_sweep span in {:?}",
         profile.spans.keys().collect::<Vec<_>>()
     );
 

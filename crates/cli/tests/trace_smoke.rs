@@ -47,7 +47,10 @@ fn map_trace_out_passes_tracecheck() {
 
     let text = std::fs::read_to_string(&trace).unwrap();
     assert!(text.contains("\"traceEvents\""));
-    assert!(text.contains("\"phi_search\""), "no phi_search span");
+    assert!(
+        text.contains("\"frtcheck_sweep\""),
+        "no frtcheck_sweep span"
+    );
 
     let check = Command::new(env!("CARGO_BIN_EXE_tracecheck"))
         .arg(&trace)
@@ -97,7 +100,7 @@ fn profile_report_is_stdout_only() {
         String::from_utf8_lossy(&prof.stderr)
     );
     let report = String::from_utf8_lossy(&prof.stdout);
-    assert!(report.contains("phi_search"), "{report}");
+    assert!(report.contains("frtcheck_sweep"), "{report}");
     assert!(report.contains("self"), "{report}");
 
     // Self-diff is a clean baseline: no net regression to report.
@@ -114,7 +117,7 @@ fn profile_report_is_stdout_only() {
         String::from_utf8_lossy(&diff.stderr)
     );
     assert!(diff.stderr.is_empty(), "quiet diff wrote to stderr");
-    assert!(String::from_utf8_lossy(&diff.stdout).contains("phi_search"));
+    assert!(String::from_utf8_lossy(&diff.stdout).contains("frtcheck_sweep"));
 }
 
 #[test]

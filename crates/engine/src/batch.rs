@@ -11,7 +11,7 @@
 //!   job observes the token cooperatively (deep loops poll
 //!   [`cancel::cancelled`](crate::cancel::cancelled)) and unwinds with an
 //!   error, reported as [`JobOutcome::DeadlineExceeded`].
-//! * **Telemetry** — counters and phase timers are reset when the job
+//! * **Telemetry** — counters and layer totals are reset when the job
 //!   starts on its worker and harvested into the report when it ends.
 //! * **Deterministic ordering** — reports come back in submission order
 //!   regardless of worker count or completion order.

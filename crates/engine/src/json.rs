@@ -68,11 +68,10 @@ impl JsonValue {
     /// Returns a message with a byte offset on malformed input. Used by
     /// the `tracecheck` validator to read traces back.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(value)
@@ -195,7 +194,8 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -209,9 +209,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -233,7 +233,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -245,7 +245,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
+        Some(b'"') => parse_string(text, pos).map(JsonValue::Str),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
@@ -267,7 +267,8 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -307,12 +308,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Copy the full UTF-8 scalar starting here.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the unescaped run up to the next quote or
+                // backslash as one slice. Both are ASCII, so the run ends
+                // on a character boundary of the already-valid `text`.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&text[*pos..run]);
+                *pos = run;
             }
         }
     }
@@ -459,6 +463,35 @@ mod tests {
         assert!(JsonValue::parse("{} extra").is_err());
         assert!(JsonValue::parse("\"open").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn string_parse_is_linear() {
+        // A string-heavy document: many long plain strings with an escape
+        // in each, so both the run copy and the escape path are timed.
+        let doc = |bytes: usize| {
+            let item = format!("\"{}\\n{}\"", "a".repeat(500), "é".repeat(250));
+            let n = bytes / item.len();
+            format!("[{}]", vec![item; n].join(","))
+        };
+        let best = |text: &str| {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let v = JsonValue::parse(text).expect("valid document");
+                    assert!(matches!(v, JsonValue::Array(_)));
+                    t.elapsed()
+                })
+                .min()
+                .expect("three runs")
+        };
+        let small = doc(2 << 20);
+        let large = doc(4 << 20);
+        let (t_small, t_large) = (best(&small), best(&large));
+        assert!(
+            t_large.as_secs_f64() <= 2.5 * t_small.as_secs_f64(),
+            "doubling the input took {t_small:?} -> {t_large:?}"
+        );
     }
 
     #[test]

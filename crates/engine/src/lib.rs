@@ -15,16 +15,19 @@
 //! * [`cancel`] — cancellation tokens installed thread-locally so deep
 //!   algorithm loops (the Φ binary search, the FRTcheck sweeps) can poll
 //!   [`cancel::cancelled`] without threading a token through every call,
-//! * [`telemetry`] — lock-free per-job counters, monotonic phase
-//!   timers and streaming [`hist`] histograms accumulated in
-//!   thread-locals and merged at job end,
+//! * [`layer`] — the one instrumentation guard: every instrumented site
+//!   opens one [`Layer`] and gets calls, inclusive and self time, heap
+//!   attribution and a trace span from it,
+//! * [`telemetry`] — lock-free per-job counters, per-layer totals and
+//!   streaming [`hist`] histograms accumulated in thread-locals and
+//!   merged at job end,
 //! * [`trace`] — span/event tracing into bounded per-thread ring
 //!   buffers with Chrome-trace/Perfetto JSON export; zero-cost when
 //!   disabled (one atomic branch per record site),
 //! * [`mem`] — heap accounting: a counting `GlobalAlloc` wrapper the
-//!   binaries install, per-phase [`mem::MemScope`]s feeding
-//!   [`telemetry`], and the `VmHWM` peak-RSS probe; gated like [`trace`]
-//!   (one atomic load per allocation when off),
+//!   binaries install, the per-thread ledger [`layer`] guards read, and
+//!   the `VmHWM` peak-RSS probe; gated like [`trace`] (one atomic load
+//!   per allocation when off),
 //! * [`profile`] — offline Chrome-trace analysis for `tmfrt profile`:
 //!   self/total span aggregation, folded-stack export, and A/B
 //!   differentials with phase attribution,
@@ -68,6 +71,7 @@ pub mod cancel;
 pub mod hist;
 pub mod http;
 pub mod json;
+pub mod layer;
 pub mod log;
 pub mod mem;
 pub mod pool;
@@ -81,9 +85,10 @@ pub use batch::{run_batch, BatchOptions, JobOutcome, JobReport, JobSpec};
 pub use cancel::CancelToken;
 pub use hist::{Histogram, Metric};
 pub use json::JsonValue;
-pub use mem::{CountingAlloc, MemPhase, MemScope, MemStats};
+pub use layer::{Layer, LayerStats};
+pub use mem::{CountingAlloc, MemStats};
 pub use pool::{scoped_workers, Pool};
 pub use prom::PromWriter;
 pub use rng::Rng64;
-pub use telemetry::{Counter, Phase, Telemetry};
-pub use trace::{SpanGuard, TraceBuffer};
+pub use telemetry::{Counter, Telemetry};
+pub use trace::TraceBuffer;

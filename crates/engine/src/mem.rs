@@ -1,32 +1,18 @@
-//! Heap and RSS accounting: a counting allocator, per-phase memory
-//! scopes, and the process peak-RSS probe.
-//!
-//! The ROADMAP's next structural swings (flat-arena/SoA core, partitioned
-//! million-gate mapping) are memory-layout plays; this module gives them
-//! gates to land behind. Three layers:
+//! Heap and RSS accounting: a counting allocator, the per-thread ledger
+//! that layer guards read, and the process peak-RSS probe.
 //!
 //! * [`CountingAlloc`] — a `GlobalAlloc` wrapper over [`System`] that the
 //!   binaries install with `#[global_allocator]`. When the accounting
 //!   gate is **off** (the default) every allocation pays exactly one
 //!   relaxed atomic load; when on, global and per-thread live/peak bytes
 //!   and alloc/free events are counted.
-//! * [`MemScope`] — RAII guards placed at the same sites (and under the
-//!   same names) as the span tracer's phases (`expand`, `min_cut`,
-//!   `frtcheck_sweep`, `apply_retiming`, `sim_step`, `verify`). A scope
-//!   attributes wall time, allocation deltas and the within-scope heap
-//!   high-water mark to its [`MemPhase`], accumulated into the job's
-//!   [`Telemetry`](crate::telemetry::Telemetry) through the usual
-//!   snapshot/merge/since protocol — so scoped sweep workers merge their
-//!   phase memory back into the job exactly like counters do.
-//! * [`peak_rss_kib`] — the `VmHWM` probe from `/proc/self/status`
-//!   (previously private to `blifcheck`), plus [`current_rss_kib`].
-//!
-//! Like `trace`, scope sites nest: a `frtcheck_sweep` scope encloses the
-//! `expand` and `min_cut` scopes it triggers, so per-phase numbers are
-//! *inclusive* (they attribute to the innermost-opened site
-//! independently; sweep totals overlap expand/min-cut totals). Peaks use
-//! a save/restore watermark so nested scopes each observe their own
-//! high-water without corrupting the enclosing scope's.
+//! * The per-thread ledger — monotone totals, live bytes and a peak
+//!   watermark. [`crate::layer`] guards read it to attribute allocations
+//!   and heap high-water marks to layers, saving and restoring the
+//!   watermark so [`job_mark`] / [`thread_peak`] users outside any layer
+//!   see the true high-water mark.
+//! * [`peak_rss_kib`] — the `VmHWM` probe from `/proc/self/status`,
+//!   plus [`current_rss_kib`].
 //!
 //! Per-thread live bytes saturate at zero: a thread that frees memory
 //! allocated elsewhere (arena hand-offs between sweep workers) cannot
@@ -34,140 +20,16 @@
 
 #![allow(unsafe_code)] // the GlobalAlloc impl is the crate's only unsafe.
 
-use crate::telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Memory phases, named after the span tracer's sites so traces,
-/// artifacts and `benchdiff` attribution all speak one vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum MemPhase {
-    /// Expanded-circuit construction (`F_v^bound` build).
-    Expand = 0,
-    /// One max-flow min-cut query (cut search per node).
-    MinCut = 1,
-    /// One FRTcheck / general-check LabelUpdate sweep.
-    LabelSweep = 2,
-    /// Applying a retiming (register moves + initial states).
-    Retime = 3,
-    /// One simulation step of the sequential netlist.
-    Sim = 4,
-    /// Equivalence verification of a mapped result.
-    Verify = 5,
-    /// Partition-and-conquer work outside the per-block mapper runs:
-    /// condensation, clustering, contracts, extraction, and stitching.
-    Partition = 6,
-}
-
-/// Number of [`MemPhase`] variants.
-pub const NUM_MEM_PHASES: usize = 7;
-
-/// Stable phase names, indexed by `MemPhase as usize` — identical to the
-/// corresponding trace span names (JSON keys in the v3 artifact).
-pub const MEM_PHASE_NAMES: [&str; NUM_MEM_PHASES] = [
-    "expand",
-    "min_cut",
-    "frtcheck_sweep",
-    "apply_retiming",
-    "sim_step",
-    "verify",
-    "partition",
-];
-
-impl MemPhase {
-    /// The phase with index `i` (`MemPhase as usize`), if in range.
-    pub fn from_index(i: usize) -> Option<MemPhase> {
-        match i {
-            0 => Some(MemPhase::Expand),
-            1 => Some(MemPhase::MinCut),
-            2 => Some(MemPhase::LabelSweep),
-            3 => Some(MemPhase::Retime),
-            4 => Some(MemPhase::Sim),
-            5 => Some(MemPhase::Verify),
-            6 => Some(MemPhase::Partition),
-            _ => None,
-        }
-    }
-
-    /// The stable name (trace span name / JSON key) of this phase.
-    pub fn name(self) -> &'static str {
-        MEM_PHASE_NAMES[self as usize]
-    }
-}
-
-/// Accumulated memory activity attributed to one [`MemPhase`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemPhaseStats {
-    /// Wall time spent inside scopes of this phase, in nanoseconds
-    /// (inclusive of nested scopes of other phases).
-    pub wall_nanos: u64,
-    /// Allocation events inside scopes of this phase.
-    pub allocs: u64,
-    /// Free events inside scopes of this phase.
-    pub frees: u64,
-    /// Bytes allocated inside scopes of this phase.
-    pub alloc_bytes: u64,
-    /// Largest within-scope heap growth (high-water minus bytes live at
-    /// scope entry) observed by any single scope of this phase.
-    pub peak_bytes: u64,
-}
-
-impl MemPhaseStats {
-    /// A zeroed accumulation (`const` form of `Default`).
-    pub const fn zeroed() -> MemPhaseStats {
-        MemPhaseStats {
-            wall_nanos: 0,
-            allocs: 0,
-            frees: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-        }
-    }
-
-    /// Adds another accumulation into this one (peaks take the max).
-    pub fn merge(&mut self, other: &MemPhaseStats) {
-        self.wall_nanos = self.wall_nanos.wrapping_add(other.wall_nanos);
-        self.allocs = self.allocs.wrapping_add(other.allocs);
-        self.frees = self.frees.wrapping_add(other.frees);
-        self.alloc_bytes = self.alloc_bytes.wrapping_add(other.alloc_bytes);
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-    }
-
-    /// This accumulation minus an earlier one (saturating). The peak is
-    /// a running max, so the delta is the current peak when it grew
-    /// during the interval and zero otherwise.
-    pub fn since(&self, earlier: &MemPhaseStats) -> MemPhaseStats {
-        MemPhaseStats {
-            wall_nanos: self.wall_nanos.saturating_sub(earlier.wall_nanos),
-            allocs: self.allocs.saturating_sub(earlier.allocs),
-            frees: self.frees.saturating_sub(earlier.frees),
-            alloc_bytes: self.alloc_bytes.saturating_sub(earlier.alloc_bytes),
-            peak_bytes: if self.peak_bytes > earlier.peak_bytes {
-                self.peak_bytes
-            } else {
-                0
-            },
-        }
-    }
-
-    /// True when every field is zero (the phase never ran, or the
-    /// accounting gate was off).
-    pub fn is_empty(&self) -> bool {
-        *self == MemPhaseStats::default()
-    }
-}
-
-/// Per-job memory telemetry: phase attributions plus the job thread's
-/// own allocation ledger, carried inside
+/// The job threads' allocation ledger, carried inside
 /// [`Telemetry`](crate::telemetry::Telemetry) through snapshot/merge/
-/// since like counters and phase timers.
+/// since like counters (per-layer attribution lives in
+/// [`crate::layer::LayerStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
-    /// Per-phase attribution, indexed by `MemPhase as usize`.
-    pub phases: [MemPhaseStats; NUM_MEM_PHASES],
     /// Allocation events on the job's threads since the job started.
     pub allocs: u64,
     /// Free events on the job's threads since the job started.
@@ -185,7 +47,6 @@ impl MemStats {
     /// A zeroed snapshot (`const` form of `Default`).
     pub const fn new() -> MemStats {
         MemStats {
-            phases: [MemPhaseStats::zeroed(); NUM_MEM_PHASES],
             allocs: 0,
             frees: 0,
             alloc_bytes: 0,
@@ -196,9 +57,6 @@ impl MemStats {
 
     /// Adds another snapshot into this one (peaks take the max).
     pub fn merge(&mut self, other: &MemStats) {
-        for i in 0..NUM_MEM_PHASES {
-            self.phases[i].merge(&other.phases[i]);
-        }
         self.allocs = self.allocs.wrapping_add(other.allocs);
         self.frees = self.frees.wrapping_add(other.frees);
         self.alloc_bytes = self.alloc_bytes.wrapping_add(other.alloc_bytes);
@@ -206,10 +64,11 @@ impl MemStats {
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
     }
 
-    /// This snapshot minus an earlier one (saturating; see
-    /// [`MemPhaseStats::since`] for peak semantics).
+    /// This snapshot minus an earlier one (saturating). The peak is a
+    /// running max, so the delta is the current peak when it grew during
+    /// the interval and zero otherwise.
     pub fn since(&self, earlier: &MemStats) -> MemStats {
-        let mut out = MemStats {
+        MemStats {
             allocs: self.allocs.saturating_sub(earlier.allocs),
             frees: self.frees.saturating_sub(earlier.frees),
             alloc_bytes: self.alloc_bytes.saturating_sub(earlier.alloc_bytes),
@@ -219,17 +78,7 @@ impl MemStats {
             } else {
                 0
             },
-            ..MemStats::default()
-        };
-        for i in 0..NUM_MEM_PHASES {
-            out.phases[i] = self.phases[i].since(&earlier.phases[i]);
         }
-        out
-    }
-
-    /// Stats for one phase.
-    pub fn phase(&self, p: MemPhase) -> &MemPhaseStats {
-        &self.phases[p as usize]
     }
 
     /// True when nothing was recorded (accounting off, or no activity).
@@ -259,7 +108,7 @@ static G_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Turns memory accounting on or off process-wide. Off (the default),
 /// the installed [`CountingAlloc`] adds exactly one relaxed atomic load
-/// per allocator call and [`scope`] returns inert guards.
+/// per allocator call and layer guards skip their memory bookkeeping.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -399,12 +248,7 @@ pub fn on_dealloc(bytes: u64) {
 
 /// Monotone totals for the current thread.
 pub fn thread_totals() -> ThreadTotals {
-    LOCAL.with(|t| ThreadTotals {
-        allocs: t.allocs.get(),
-        frees: t.frees.get(),
-        alloc_bytes: t.alloc_bytes.get(),
-        free_bytes: t.free_bytes.get(),
-    })
+    LOCAL.with(totals_of)
 }
 
 /// Bytes currently live on this thread's ledger.
@@ -421,110 +265,65 @@ pub fn thread_peak() -> u64 {
 /// Job-level deltas for this thread since the last [`job_mark`]: the
 /// monotone totals minus their baseline, plus the current peak.
 pub fn job_delta() -> (ThreadTotals, u64) {
-    LOCAL.with(|t| {
-        let now = ThreadTotals {
-            allocs: t.allocs.get(),
-            frees: t.frees.get(),
-            alloc_bytes: t.alloc_bytes.get(),
-            free_bytes: t.free_bytes.get(),
-        };
-        (now.since(&t.base.get()), t.peak.get())
-    })
+    LOCAL.with(|t| (totals_of(t).since(&t.base.get()), t.peak.get()))
 }
 
 /// Marks a job boundary on this thread: future [`job_delta`]s count from
 /// here, and the thread peak restarts from the bytes currently live.
 pub fn job_mark() {
     LOCAL.with(|t| {
-        t.base.set(ThreadTotals {
-            allocs: t.allocs.get(),
-            frees: t.frees.get(),
-            alloc_bytes: t.alloc_bytes.get(),
-            free_bytes: t.free_bytes.get(),
-        });
+        t.base.set(totals_of(t));
         t.peak.set(t.live.get());
     });
 }
 
 // ---------------------------------------------------------------------------
-// Phase scopes.
+// Layer watermarks.
 
-/// RAII guard from [`scope`]: on drop, attributes the wall time,
-/// allocation deltas and within-scope heap high-water to its phase in
-/// the current thread's telemetry. Inert when accounting is disabled.
-#[derive(Debug)]
-pub struct MemScope {
-    inner: Option<ScopeInner>,
-}
-
-#[derive(Debug)]
-struct ScopeInner {
-    phase: MemPhase,
-    start: Instant,
-    entry: ThreadTotals,
-    entry_live: u64,
-    /// The thread peak at entry; the scope lowers the watermark to its
-    /// entry live bytes to observe its own high-water, and restores
-    /// `max(saved, observed)` on drop so enclosing scopes stay correct.
+/// The ledger position a layer guard saved on entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Watermark {
+    totals: ThreadTotals,
+    /// Bytes live at entry.
+    pub(crate) live: u64,
+    /// The thread peak at entry, folded back in on close.
     saved_peak: u64,
 }
 
-/// Opens a memory scope attributing activity until drop to `phase`.
-/// One relaxed atomic load when accounting is disabled.
-#[inline]
-pub fn scope(phase: MemPhase) -> MemScope {
-    if !enabled() {
-        return MemScope { inner: None };
-    }
-    let (entry, entry_live, saved_peak) = LOCAL.with(|t| {
-        let entry = ThreadTotals {
-            allocs: t.allocs.get(),
-            frees: t.frees.get(),
-            alloc_bytes: t.alloc_bytes.get(),
-            free_bytes: t.free_bytes.get(),
-        };
-        let live = t.live.get();
-        let saved = t.peak.get();
-        t.peak.set(live);
-        (entry, live, saved)
-    });
-    MemScope {
-        inner: Some(ScopeInner {
-            phase,
-            start: Instant::now(),
-            entry,
-            entry_live,
-            saved_peak,
-        }),
+fn totals_of(t: &ThreadCells) -> ThreadTotals {
+    ThreadTotals {
+        allocs: t.allocs.get(),
+        frees: t.frees.get(),
+        alloc_bytes: t.alloc_bytes.get(),
+        free_bytes: t.free_bytes.get(),
     }
 }
 
-impl Drop for MemScope {
-    fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
-            return;
-        };
-        let wall_nanos = inner.start.elapsed().as_nanos() as u64;
-        let (delta, scope_peak) = LOCAL.with(|t| {
-            let now = ThreadTotals {
-                allocs: t.allocs.get(),
-                frees: t.frees.get(),
-                alloc_bytes: t.alloc_bytes.get(),
-                free_bytes: t.free_bytes.get(),
-            };
-            let observed = t.peak.get();
-            t.peak.set(observed.max(inner.saved_peak));
-            (now.since(&inner.entry), observed)
-        });
-        let stats = MemPhaseStats {
-            wall_nanos,
-            allocs: delta.allocs,
-            frees: delta.frees,
-            alloc_bytes: delta.alloc_bytes,
-            peak_bytes: scope_peak.saturating_sub(inner.entry_live),
-        };
-        telemetry::mem_phase_add(inner.phase, &stats, thread_peak());
-    }
+/// Saves the ledger and lowers the thread peak to the live bytes, so
+/// the peak from here on is what the opening layer itself reaches.
+pub(crate) fn watermark_open() -> Watermark {
+    LOCAL.with(|t| {
+        let live = t.live.get();
+        Watermark {
+            totals: totals_of(t),
+            live,
+            saved_peak: t.peak.replace(live),
+        }
+    })
+}
+
+/// Closes a [`watermark_open`]: returns the ledger delta since `w` and
+/// the peak reached since (absolute bytes), then sets the thread peak to
+/// `max(saved, restore(reached, live_now))`.
+pub(crate) fn watermark_close(
+    w: &Watermark,
+    restore: impl FnOnce(u64, u64) -> u64,
+) -> (ThreadTotals, u64) {
+    LOCAL.with(|t| {
+        let reached = t.peak.get();
+        t.peak.set(w.saved_peak.max(restore(reached, t.live.get())));
+        (totals_of(t).since(&w.totals), reached)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -628,30 +427,11 @@ mod tests {
     fn with_gate<R>(f: impl FnOnce() -> R) -> R {
         let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
-        telemetry::reset();
+        crate::telemetry::reset();
         job_mark();
         let r = f();
         set_enabled(false);
         r
-    }
-
-    #[test]
-    fn gate_off_scopes_are_inert_and_hooks_unused() {
-        let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(false);
-        telemetry::reset();
-        job_mark();
-        let before = thread_totals();
-        {
-            let _s = scope(MemPhase::Expand);
-            // The allocator hooks are behind `enabled()`; with the gate
-            // off nothing in this block records anything.
-            let v: Vec<u64> = (0..64).collect();
-            assert_eq!(v.len(), 64);
-        }
-        assert_eq!(thread_totals(), before);
-        let t = telemetry::snapshot();
-        assert!(t.mem.is_empty(), "gate off must leave MemStats zeroed");
     }
 
     #[test]
@@ -686,49 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_attributes_phase_delta_and_peak() {
-        with_gate(|| {
-            {
-                let _s = scope(MemPhase::MinCut);
-                on_alloc(4096);
-                on_alloc(4096);
-                on_dealloc(4096);
-            }
-            let t = telemetry::snapshot();
-            let p = t.mem.phase(MemPhase::MinCut);
-            assert_eq!(p.allocs, 2);
-            assert_eq!(p.frees, 1);
-            assert_eq!(p.alloc_bytes, 8192);
-            assert_eq!(p.peak_bytes, 8192);
-            assert!(p.wall_nanos > 0);
-            assert!(t.mem.phase(MemPhase::Expand).is_empty());
-        });
-    }
-
-    #[test]
-    fn nested_scopes_restore_enclosing_watermark() {
-        with_gate(|| {
-            {
-                let _outer = scope(MemPhase::LabelSweep);
-                on_alloc(10_000);
-                {
-                    let _inner = scope(MemPhase::MinCut);
-                    on_alloc(100);
-                    on_dealloc(100);
-                }
-                on_dealloc(10_000);
-            }
-            let t = telemetry::snapshot();
-            // Inner observed only its own 100-byte bump…
-            assert_eq!(t.mem.phase(MemPhase::MinCut).peak_bytes, 100);
-            // …while the outer (inclusive) saw the 10k base plus the
-            // inner's 100 on top: the restore must not lose either.
-            assert_eq!(t.mem.phase(MemPhase::LabelSweep).peak_bytes, 10_100);
-            assert_eq!(t.mem.phase(MemPhase::LabelSweep).allocs, 2);
-        });
-    }
-
-    #[test]
     fn job_mark_restarts_deltas_and_peak() {
         with_gate(|| {
             on_alloc(2048);
@@ -747,52 +484,43 @@ mod tests {
 
     #[test]
     fn merge_and_since_roundtrip() {
-        let mut a = MemStats::default();
-        a.phases[0] = MemPhaseStats {
-            wall_nanos: 10,
+        let a = MemStats {
             allocs: 2,
-            frees: 1,
             alloc_bytes: 100,
             peak_bytes: 80,
+            ..MemStats::default()
         };
-        a.allocs = 2;
-        a.peak_bytes = 80;
-        let mut b = MemStats::default();
-        b.phases[0] = MemPhaseStats {
-            wall_nanos: 5,
+        let b = MemStats {
             allocs: 1,
-            frees: 0,
             alloc_bytes: 50,
             peak_bytes: 120,
+            ..MemStats::default()
         };
-        b.allocs = 1;
-        b.peak_bytes = 120;
         let mut m = a;
         m.merge(&b);
-        assert_eq!(m.phases[0].wall_nanos, 15);
-        assert_eq!(m.phases[0].allocs, 3);
-        assert_eq!(m.phases[0].peak_bytes, 120);
-        assert_eq!(m.peak_bytes, 120);
+        assert_eq!((m.allocs, m.alloc_bytes, m.peak_bytes), (3, 150, 120));
         let d = m.since(&b);
-        assert_eq!(d.phases[0].allocs, 2);
+        assert_eq!(d.allocs, 2);
         // Peak did not grow past `b`'s, so the interval reports zero…
-        assert_eq!(b.since(&m).phases[0].peak_bytes, 0);
+        assert_eq!(d.peak_bytes, 0);
         // …and a grown peak reports its absolute value.
-        assert_eq!(d.phases[0].peak_bytes, 0);
-        assert_eq!(m.since(&a).phases[0].peak_bytes, 120);
+        assert_eq!(m.since(&a).peak_bytes, 120);
     }
 
     #[test]
-    fn phase_names_cover_variants() {
-        assert_eq!(MEM_PHASE_NAMES.len(), NUM_MEM_PHASES);
-        for (i, &name) in MEM_PHASE_NAMES.iter().enumerate() {
-            let p = MemPhase::from_index(i).expect("index in range");
-            assert_eq!(p as usize, i);
-            assert_eq!(p.name(), name);
-        }
-        assert_eq!(MemPhase::from_index(NUM_MEM_PHASES), None);
-        let unique: std::collections::HashSet<&str> = MEM_PHASE_NAMES.iter().copied().collect();
-        assert_eq!(unique.len(), NUM_MEM_PHASES);
+    fn watermark_restore_keeps_the_enclosing_peak() {
+        with_gate(|| {
+            on_alloc(10_000);
+            let w = watermark_open();
+            on_alloc(100);
+            let (delta, reached) = watermark_close(&w, |_, live| live);
+            assert_eq!((delta.allocs, delta.alloc_bytes), (1, 100));
+            assert_eq!(reached, w.live + 100);
+            // The saved peak (at least the 10 000 bytes) survives a
+            // restore to the lower live level.
+            assert!(thread_peak() >= 10_100);
+            on_dealloc(10_100);
+        });
     }
 
     #[test]

@@ -275,9 +275,10 @@ mod tests {
 
     #[test]
     fn scoped_workers_merge_memory_accounting() {
-        use crate::mem::{self, MemPhase};
+        use crate::layer::{self, Layer};
+        use crate::mem;
         use crate::telemetry;
-        // Workers attribute allocations to phases on their own threads;
+        // Workers attribute allocations to layers on their own threads;
         // after the scope, the caller's telemetry holds the exact sums
         // (and the max of the per-thread peaks).
         let _gate = mem::TEST_GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -287,7 +288,7 @@ mod tests {
         scoped_workers(
             2,
             |i| {
-                let _s = mem::scope(MemPhase::LabelSweep);
+                let _s = layer::enter(Layer::FrtcheckSweep);
                 // Worker 0 books 1000 bytes in 1 event, worker 1 books
                 // 2000 in 2: distinct shapes so the merge is checkable.
                 for _ in 0..=i {
@@ -306,10 +307,10 @@ mod tests {
         );
         mem::set_enabled(false);
         let t = telemetry::take();
-        let sweep = t.mem.phase(MemPhase::LabelSweep);
+        let sweep = t.layer(Layer::FrtcheckSweep);
+        assert_eq!(sweep.calls, 2);
         assert_eq!(sweep.allocs, 3, "1 + 2 events from the two workers");
         assert_eq!(sweep.alloc_bytes, 3000);
-        assert_eq!(sweep.frees, 3);
         // Peak merges as a max across threads: worker 1 held 2000 live.
         assert_eq!(sweep.peak_bytes, 2000);
         assert_eq!(t.mem.allocs, 3, "job ledger covers worker threads");

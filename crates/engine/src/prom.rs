@@ -2,7 +2,7 @@
 //! (std-only).
 //!
 //! `tmfrt batch --metrics-out metrics.prom` summarises a whole batch —
-//! job outcomes, phase timers, counters and histogram quantiles — in the
+//! job outcomes, layer times, counters and histogram quantiles — in the
 //! Prometheus text exposition format (version 0.0.4): `# HELP` / `# TYPE`
 //! comment lines followed by `name{label="value"} number` samples. The
 //! writer keeps families in emission order (deterministic output, same
@@ -11,8 +11,8 @@
 
 use crate::batch::JobReport;
 use crate::hist::HIST_NAMES;
-use crate::mem::MEM_PHASE_NAMES;
-use crate::telemetry::{Telemetry, COUNTER_NAMES, PHASE_NAMES};
+use crate::layer::Layer;
+use crate::telemetry::{Telemetry, COUNTER_NAMES};
 use std::fmt::Write as _;
 
 /// Metric family kinds the writer supports.
@@ -122,24 +122,35 @@ fn is_label_name(name: &str) -> bool {
 /// them (the [`crate::batch::JobOutcome::status`] vocabulary).
 pub const JOB_STATUSES: [&str; 4] = ["ok", "failed", "panicked", "deadline"];
 
-/// Writes the telemetry-derived families — `tmfrt_phase_seconds`,
-/// `tmfrt_events` and one quantile family per non-empty histogram —
-/// into `w`. Shared by `tmfrt batch --metrics-out`, `tmfrt serve
-/// /metrics` and the tests; output order is fixed, so a given snapshot
-/// always renders to the same bytes.
+/// Writes the telemetry-derived families — the `tmfrt_layer_*` set,
+/// `tmfrt_events`, the memory ledger and one quantile family per
+/// non-empty histogram — into `w`. Shared by `tmfrt batch
+/// --metrics-out`, `tmfrt serve /metrics` and the tests; output order is
+/// fixed, so a given snapshot always renders to the same bytes.
 pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
+    let per_layer = |w: &mut PromWriter, name: &str, value: &dyn Fn(&crate::LayerStats) -> f64| {
+        for l in Layer::ALL {
+            w.sample(name, &[("layer", l.name())], value(agg.layer(l)));
+        }
+    };
     w.family(
-        "tmfrt_phase_seconds",
+        "tmfrt_layer_calls_total",
         MetricKind::Counter,
-        "CPU seconds per pipeline phase, summed over all jobs.",
+        "Layer guards closed, summed over all jobs.",
     );
-    for (i, phase) in PHASE_NAMES.iter().enumerate() {
-        w.sample(
-            "tmfrt_phase_seconds",
-            &[("phase", phase)],
-            agg.phase_nanos[i] as f64 / 1e9,
-        );
-    }
+    per_layer(w, "tmfrt_layer_calls_total", &|l| l.calls as f64);
+    w.family(
+        "tmfrt_layer_seconds",
+        MetricKind::Counter,
+        "Wall seconds inside each layer, nested layers included.",
+    );
+    per_layer(w, "tmfrt_layer_seconds", &|l| l.incl_secs());
+    w.family(
+        "tmfrt_layer_self_seconds",
+        MetricKind::Counter,
+        "Wall seconds inside each layer minus its nested layers.",
+    );
+    per_layer(w, "tmfrt_layer_self_seconds", &|l| l.self_secs());
 
     w.family(
         "tmfrt_events",
@@ -152,7 +163,8 @@ pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
 
     // Memory accounting (engine::mem). The aggregate families are
     // always present — zeros when the gate is off — so dashboards can
-    // rely on them; per-phase families appear once any scope recorded.
+    // rely on them; per-layer memory families appear once a layer
+    // recorded some.
     w.family(
         "tmfrt_mem_allocs_total",
         MetricKind::Counter,
@@ -178,43 +190,27 @@ pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
     );
     w.sample_u64("tmfrt_mem_peak_heap_bytes", &[], agg.mem.peak_bytes);
 
-    if agg.mem.phases.iter().any(|p| !p.is_empty()) {
+    if agg.layers.iter().any(|l| l.has_mem()) {
         w.family(
-            "tmfrt_mem_phase_seconds",
+            "tmfrt_layer_allocs_total",
             MetricKind::Counter,
-            "Wall seconds inside memory scopes, per phase (inclusive).",
+            "Allocation events inside each layer, nested layers excluded.",
         );
-        for (i, phase) in MEM_PHASE_NAMES.iter().enumerate() {
-            w.sample(
-                "tmfrt_mem_phase_seconds",
-                &[("phase", phase)],
-                agg.mem.phases[i].wall_nanos as f64 / 1e9,
-            );
-        }
+        per_layer(w, "tmfrt_layer_allocs_total", &|l| l.allocs as f64);
         w.family(
-            "tmfrt_mem_phase_allocs_total",
+            "tmfrt_layer_alloc_bytes_total",
             MetricKind::Counter,
-            "Allocation events inside memory scopes, per phase.",
+            "Bytes allocated inside each layer, nested layers excluded.",
         );
-        for (i, phase) in MEM_PHASE_NAMES.iter().enumerate() {
-            w.sample_u64(
-                "tmfrt_mem_phase_allocs_total",
-                &[("phase", phase)],
-                agg.mem.phases[i].allocs,
-            );
-        }
+        per_layer(w, "tmfrt_layer_alloc_bytes_total", &|l| {
+            l.alloc_bytes as f64
+        });
         w.family(
-            "tmfrt_mem_phase_peak_bytes",
+            "tmfrt_layer_peak_bytes",
             MetricKind::Gauge,
-            "Largest within-scope heap growth, per phase.",
+            "Largest heap growth one call of the layer reached itself.",
         );
-        for (i, phase) in MEM_PHASE_NAMES.iter().enumerate() {
-            w.sample_u64(
-                "tmfrt_mem_phase_peak_bytes",
-                &[("phase", phase)],
-                agg.mem.phases[i].peak_bytes,
-            );
-        }
+        per_layer(w, "tmfrt_layer_peak_bytes", &|l| l.peak_bytes as f64);
     }
 
     // One gauge family per non-empty histogram: quantile samples plus
@@ -447,7 +443,7 @@ mod tests {
         let report = |name: &str, outcome: JobOutcome<()>| {
             let mut t = Telemetry::default();
             t.counters[0] = 10;
-            t.phase_nanos[0] = 250_000_000;
+            t.layers[Layer::Label as usize].self_nanos = 250_000_000;
             for v in [2u64, 3, 5, 9] {
                 t.hists[Metric::CutSize as usize].record(v);
             }
@@ -471,7 +467,8 @@ mod tests {
         assert!(text.contains("tmfrt_jobs{status=\"deadline\"} 0\n"));
         assert!(text.contains("tmfrt_job_wall_seconds 1.5\n"));
         assert!(text.contains("tmfrt_events{counter=\"flow_augmentations\"} 30\n"));
-        assert!(text.contains("tmfrt_phase_seconds{phase=\"label\"} 0.75\n"));
+        assert!(text.contains("tmfrt_layer_self_seconds{layer=\"label\"} 0.75\n"));
+        assert!(text.contains("tmfrt_layer_calls_total{layer=\"min_cut\"} 0\n"));
         // 12 merged samples of 2,3,5,9: p50 lands in bucket [2,3].
         assert!(text.contains("tmfrt_cut_size{quantile=\"0.5\"} 3\n"));
         assert!(text.contains("tmfrt_cut_size_count 12\n"));
@@ -487,16 +484,16 @@ mod tests {
 
     #[test]
     fn mem_families_expose_and_validate() {
-        use crate::mem::{MemPhase, MemPhaseStats};
         let mut agg = Telemetry::default();
         agg.mem.allocs = 42;
         agg.mem.frees = 40;
         agg.mem.alloc_bytes = 4096;
         agg.mem.peak_bytes = 2048;
-        agg.mem.phases[MemPhase::LabelSweep as usize] = MemPhaseStats {
-            wall_nanos: 1_500_000_000,
+        agg.layers[Layer::FrtcheckSweep as usize] = crate::LayerStats {
+            calls: 2,
+            incl_nanos: 1_500_000_000,
+            self_nanos: 500_000_000,
             allocs: 30,
-            frees: 28,
             alloc_bytes: 3000,
             peak_bytes: 1024,
         };
@@ -506,18 +503,20 @@ mod tests {
         validate_exposition(&text).expect("mem families must validate");
         assert!(text.contains("tmfrt_mem_allocs_total 42\n"));
         assert!(text.contains("tmfrt_mem_peak_heap_bytes 2048\n"));
-        assert!(text.contains("tmfrt_mem_phase_seconds{phase=\"frtcheck_sweep\"} 1.5\n"));
-        assert!(text.contains("tmfrt_mem_phase_allocs_total{phase=\"frtcheck_sweep\"} 30\n"));
-        assert!(text.contains("tmfrt_mem_phase_peak_bytes{phase=\"frtcheck_sweep\"} 1024\n"));
+        assert!(text.contains("tmfrt_layer_seconds{layer=\"frtcheck_sweep\"} 1.5\n"));
+        assert!(text.contains("tmfrt_layer_self_seconds{layer=\"frtcheck_sweep\"} 0.5\n"));
+        assert!(text.contains("tmfrt_layer_allocs_total{layer=\"frtcheck_sweep\"} 30\n"));
+        assert!(text.contains("tmfrt_layer_alloc_bytes_total{layer=\"frtcheck_sweep\"} 3000\n"));
+        assert!(text.contains("tmfrt_layer_peak_bytes{layer=\"frtcheck_sweep\"} 1024\n"));
 
-        // With no scope activity the per-phase families stay out, but
+        // With no layer memory the per-layer memory families stay out, but
         // the aggregate families are always present (zeros included).
         let mut w = PromWriter::new();
         write_telemetry_families(&mut w, &Telemetry::default());
         let text = w.finish();
         validate_exposition(&text).expect("zeroed exposition must validate");
         assert!(text.contains("tmfrt_mem_allocs_total 0\n"));
-        assert!(!text.contains("tmfrt_mem_phase_seconds"));
+        assert!(!text.contains("tmfrt_layer_allocs_total"));
     }
 
     #[test]

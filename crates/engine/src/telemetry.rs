@@ -1,4 +1,4 @@
-//! Structured per-job telemetry: counters and phase timers.
+//! Structured per-job telemetry: counters, histograms and layer totals.
 //!
 //! Hot paths increment plain thread-local [`Cell`]s — no locks, no
 //! atomics — and the batch runner snapshots and resets them around each
@@ -9,15 +9,15 @@
 //! augmentations (`turbomap::cutsearch`, `graphalgo::flow`), FRTcheck
 //! sweeps and re-queued gates (`turbomap::frtcheck`), expanded-circuit
 //! node-cache hits and misses (`turbomap::expand`), and unit register moves
-//! (`retiming::moves`). Phase timers split wall time into the pipeline's
-//! four stages: label / search / generate / verify.
+//! (`retiming::moves`). Per-layer calls, times and memory come from the
+//! [`crate::layer`] guards.
 
 use crate::hist::{Histogram, Metric, NUM_HISTS};
-use crate::mem::{self, MemPhase, MemPhaseStats, MemStats};
+use crate::layer::{Layer, LayerStats, NUM_LAYERS};
+use crate::mem::{self, MemStats};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Algorithmic event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,10 +55,13 @@ pub enum Counter {
     /// Mapping reports generated (`crates/report`): witness extraction
     /// plus timing attribution for one run.
     ReportsGenerated = 12,
+    /// Gates whose expanded circuit hit the size cap, so every label
+    /// update on them answers "no cut" — the mapping may be suboptimal.
+    ExpandCapped = 13,
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 13;
+pub const NUM_COUNTERS: usize = 14;
 
 /// Stable snake_case names, indexed by `Counter as usize` (used as JSON
 /// keys — part of the `BENCH_table1.json` schema).
@@ -76,55 +79,21 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "oracle_failures",
     "shrink_steps",
     "reports_generated",
+    "expand_capped",
 ];
-
-/// Pipeline phases timed per job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
-    /// Label computation (FRTcheck / general check / FlowMap labels).
-    Label = 0,
-    /// Structure search: expanded-circuit construction and final cuts.
-    Search = 1,
-    /// Mapping generation, retiming and initial-state computation.
-    Generate = 2,
-    /// Equivalence verification of the result.
-    Verify = 3,
-}
-
-/// Number of [`Phase`] variants.
-pub const NUM_PHASES: usize = 4;
-
-/// Stable phase names, indexed by `Phase as usize` (JSON keys).
-pub const PHASE_NAMES: [&str; NUM_PHASES] = ["label", "search", "generate", "verify"];
-
-impl Phase {
-    /// The phase with index `i` (`Phase as usize`), if in range.
-    pub fn from_index(i: usize) -> Option<Phase> {
-        match i {
-            0 => Some(Phase::Label),
-            1 => Some(Phase::Search),
-            2 => Some(Phase::Generate),
-            3 => Some(Phase::Verify),
-            _ => None,
-        }
-    }
-}
 
 /// A merged telemetry snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// Counter values, indexed by `Counter as usize`.
     pub counters: [u64; NUM_COUNTERS],
-    /// Accumulated phase durations in nanoseconds, indexed by
-    /// `Phase as usize`.
-    pub phase_nanos: [u64; NUM_PHASES],
+    /// Per-layer totals, indexed by `Layer as usize`.
+    pub layers: [LayerStats; NUM_LAYERS],
     /// Streaming distribution histograms, indexed by
     /// `hist::Metric as usize`.
     pub hists: [Histogram; NUM_HISTS],
-    /// Memory accounting: per-phase attributions from
-    /// [`mem::MemScope`]s plus the job's allocation ledger. All zeros
-    /// unless [`mem::set_enabled`] turned accounting on.
+    /// The job's allocation ledger. All zeros unless
+    /// [`mem::set_enabled`] turned accounting on.
     pub mem: MemStats,
 }
 
@@ -134,14 +103,9 @@ impl Telemetry {
         self.counters[c as usize]
     }
 
-    /// Accumulated seconds spent in one phase.
-    pub fn phase_secs(&self, p: Phase) -> f64 {
-        self.phase_nanos[p as usize] as f64 / 1e9
-    }
-
-    /// Total seconds across all phases.
-    pub fn total_phase_secs(&self) -> f64 {
-        self.phase_nanos.iter().sum::<u64>() as f64 / 1e9
+    /// Totals of one layer.
+    pub fn layer(&self, l: Layer) -> &LayerStats {
+        &self.layers[l as usize]
     }
 
     /// One distribution histogram.
@@ -154,8 +118,8 @@ impl Telemetry {
         for i in 0..NUM_COUNTERS {
             self.counters[i] += other.counters[i];
         }
-        for i in 0..NUM_PHASES {
-            self.phase_nanos[i] += other.phase_nanos[i];
+        for i in 0..NUM_LAYERS {
+            self.layers[i].merge(&other.layers[i]);
         }
         for i in 0..NUM_HISTS {
             self.hists[i].merge(&other.hists[i]);
@@ -169,8 +133,8 @@ impl Telemetry {
         for i in 0..NUM_COUNTERS {
             out.counters[i] = self.counters[i].saturating_sub(earlier.counters[i]);
         }
-        for i in 0..NUM_PHASES {
-            out.phase_nanos[i] = self.phase_nanos[i].saturating_sub(earlier.phase_nanos[i]);
+        for i in 0..NUM_LAYERS {
+            out.layers[i] = self.layers[i].since(&earlier.layers[i]);
         }
         for i in 0..NUM_HISTS {
             out.hists[i] = self.hists[i].since(&earlier.hists[i]);
@@ -183,45 +147,45 @@ impl Telemetry {
 /// A cross-thread live view of one running job's telemetry.
 ///
 /// The worker thread installs an `Arc<LiveTelemetry>` as a *mirror*
-/// ([`install_mirror`]): every [`count`] and every finished
-/// [`PhaseTimer`] segment then also lands in these atomics, so another
-/// thread — the `tmfrt serve` `/jobs/<id>` handler — can read a running
-/// job's counters-so-far without touching the worker's thread-locals.
-/// Histograms are **not** mirrored (64 atomic buckets per sample would
-/// tax the hot paths); they arrive with the final [`Telemetry`] at job
-/// end. `current_phase` tracks the innermost open phase timer, feeding
-/// the serve monitor's phase-transition events.
+/// ([`install_mirror`]): every [`count`] and every closing layer guard
+/// then also lands in these atomics, so another thread — the `tmfrt
+/// serve` `/jobs/<id>` handler — can read a running job's
+/// counters-so-far without touching the worker's thread-locals. Layers
+/// mirror their inclusive time only; histograms are **not** mirrored (64
+/// atomic buckets per sample would tax the hot paths). Both arrive with
+/// the final [`Telemetry`] at job end. `current_layer` holds the
+/// outermost open layer, feeding the serve monitor's phase-transition
+/// events.
 #[derive(Debug, Default)]
 pub struct LiveTelemetry {
     counters: [AtomicU64; NUM_COUNTERS],
-    phase_nanos: [AtomicU64; NUM_PHASES],
-    /// `Phase as usize`, or `NUM_PHASES` when no phase timer is open.
-    current_phase: AtomicUsize,
-    /// Heap high-water so far (bytes), max-merged from closing
-    /// [`mem::MemScope`]s on the mirrored threads.
+    layer_nanos: [AtomicU64; NUM_LAYERS],
+    /// `Layer as usize`, or `NUM_LAYERS` when no layer is open.
+    current_layer: AtomicUsize,
+    /// Heap high-water so far (bytes), max-merged from closing layers
+    /// on the mirrored threads.
     mem_peak_bytes: AtomicU64,
-    /// Allocation events so far inside memory scopes on the mirrored
-    /// threads.
+    /// Allocation events so far inside layers on the mirrored threads.
     mem_allocs: AtomicU64,
 }
 
 impl LiveTelemetry {
-    /// A zeroed live view with no open phase.
+    /// A zeroed live view with no open layer.
     pub fn new() -> LiveTelemetry {
         let live = LiveTelemetry::default();
-        live.current_phase.store(NUM_PHASES, Ordering::Relaxed);
+        live.current_layer.store(NUM_LAYERS, Ordering::Relaxed);
         live
     }
 
-    /// A point-in-time copy of the mirrored counters and phase timers
-    /// (histogram slots stay empty — see the type docs).
+    /// A point-in-time copy of the mirrored counters and inclusive layer
+    /// times (histogram slots stay empty — see the type docs).
     pub fn snapshot(&self) -> Telemetry {
         let mut t = Telemetry::default();
         for i in 0..NUM_COUNTERS {
             t.counters[i] = self.counters[i].load(Ordering::Relaxed);
         }
-        for i in 0..NUM_PHASES {
-            t.phase_nanos[i] = self.phase_nanos[i].load(Ordering::Relaxed);
+        for i in 0..NUM_LAYERS {
+            t.layers[i].incl_nanos = self.layer_nanos[i].load(Ordering::Relaxed);
         }
         t.mem.peak_bytes = self.mem_peak_bytes.load(Ordering::Relaxed);
         t.mem.allocs = self.mem_allocs.load(Ordering::Relaxed);
@@ -234,33 +198,11 @@ impl LiveTelemetry {
         self.mem_peak_bytes.load(Ordering::Relaxed)
     }
 
-    /// The phase whose timer is currently open on the mirrored job, if
-    /// any.
-    pub fn current_phase(&self) -> Option<Phase> {
-        Phase::from_index(self.current_phase.load(Ordering::Relaxed))
-    }
-
-    fn add_count(&self, c: Counter, n: u64) {
-        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn add_phase(&self, p: Phase, nanos: u64) {
-        self.phase_nanos[p as usize].fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    fn note_mem(&self, allocs: u64, thread_peak: u64) {
-        self.mem_allocs.fetch_add(allocs, Ordering::Relaxed);
-        self.mem_peak_bytes
-            .fetch_max(thread_peak, Ordering::Relaxed);
-    }
-
-    /// Marks `p` open, returning the previous marker for restoration.
-    fn enter_phase(&self, p: Phase) -> usize {
-        self.current_phase.swap(p as usize, Ordering::Relaxed)
-    }
-
-    fn restore_phase(&self, prev: usize) {
-        self.current_phase.store(prev, Ordering::Relaxed);
+    /// The outermost layer open on the mirrored job, if any.
+    pub fn current_layer(&self) -> Option<Layer> {
+        Layer::ALL
+            .get(self.current_layer.load(Ordering::Relaxed))
+            .copied()
     }
 }
 
@@ -268,15 +210,13 @@ thread_local! {
     static COUNTERS: [Cell<u64>; NUM_COUNTERS] = const {
         [const { Cell::new(0) }; NUM_COUNTERS]
     };
-    static PHASES: [Cell<u64>; NUM_PHASES] = const {
-        [const { Cell::new(0) }; NUM_PHASES]
-    };
+    static LAYERS: RefCell<[LayerStats; NUM_LAYERS]> =
+        const { RefCell::new([LayerStats::zeroed(); NUM_LAYERS]) };
     static HISTS: RefCell<[Histogram; NUM_HISTS]> =
         const { RefCell::new([Histogram::zeroed(); NUM_HISTS]) };
     static MIRROR: RefCell<Option<Arc<LiveTelemetry>>> = const { RefCell::new(None) };
-    /// Memory telemetry accumulated on this thread: phase attributions
-    /// from closing [`mem::MemScope`]s plus worker snapshots folded in
-    /// by [`merge_local`]. The job-thread allocator ledger
+    /// Memory telemetry folded in from worker snapshots by
+    /// [`merge_local`]. This thread's own allocator ledger
     /// ([`mem::job_delta`]) is added at [`snapshot`] time, not here.
     static MEM_ACC: Cell<MemStats> = const { Cell::new(MemStats::new()) };
 }
@@ -298,9 +238,10 @@ pub fn merge_local(t: &Telemetry) {
             cell.set(cell.get().wrapping_add(t.counters[i]));
         }
     });
-    PHASES.with(|ps| {
-        for (i, cell) in ps.iter().enumerate() {
-            cell.set(cell.get().wrapping_add(t.phase_nanos[i]));
+    LAYERS.with(|ls| {
+        let mut layers = ls.borrow_mut();
+        for i in 0..NUM_LAYERS {
+            layers[i].merge(&t.layers[i]);
         }
     });
     HISTS.with(|hs| {
@@ -316,22 +257,45 @@ pub fn merge_local(t: &Telemetry) {
     });
 }
 
-/// Accumulates one closing [`mem::MemScope`]'s attribution into the
-/// current thread's telemetry and, when a mirror is installed, its
-/// live aggregates (`thread_peak` is the thread heap high-water for the
-/// mirror's max-merge). Called by `mem`, not user code.
-pub(crate) fn mem_phase_add(phase: MemPhase, stats: &MemPhaseStats, thread_peak: u64) {
-    MEM_ACC.with(|m| {
-        let mut acc = m.get();
-        acc.phases[phase as usize].merge(stats);
-        m.set(acc);
+/// Publishes `layer` as the mirror's current layer when a mirror is
+/// installed and no layer is published yet; true when this call
+/// published it (the closing guard then clears it).
+pub(crate) fn mirror_enter(layer: Layer) -> bool {
+    let mut published = false;
+    with_mirror(|live| {
+        published = live
+            .current_layer
+            .compare_exchange(
+                NUM_LAYERS,
+                layer as usize,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            )
+            .is_ok();
     });
-    with_mirror(|live| live.note_mem(stats.allocs, thread_peak));
+    published
+}
+
+/// Accumulates one closing layer guard's record into the current
+/// thread's telemetry and the installed mirror. `reached` is the
+/// absolute heap level the layer reached (memory accounting on).
+pub(crate) fn layer_exit(layer: Layer, stats: &LayerStats, published: bool, reached: Option<u64>) {
+    LAYERS.with(|ls| ls.borrow_mut()[layer as usize].merge(stats));
+    with_mirror(|live| {
+        live.layer_nanos[layer as usize].fetch_add(stats.incl_nanos, Ordering::Relaxed);
+        if published {
+            live.current_layer.store(NUM_LAYERS, Ordering::Relaxed);
+        }
+        if let Some(peak) = reached {
+            live.mem_allocs.fetch_add(stats.allocs, Ordering::Relaxed);
+            live.mem_peak_bytes.fetch_max(peak, Ordering::Relaxed);
+        }
+    });
 }
 
 /// Installs `live` as the current thread's telemetry mirror for the
 /// lifetime of the returned guard (the previous mirror is restored on
-/// drop). Counters and phase-timer segments recorded on this thread are
+/// drop). Counters and layer times recorded on this thread are
 /// duplicated into the mirror's atomics.
 pub fn install_mirror(live: Arc<LiveTelemetry>) -> MirrorGuard {
     let prev = MIRROR.with(|m| m.replace(Some(live)));
@@ -369,7 +333,9 @@ pub fn count(c: Counter, n: u64) {
         let cell = &cs[c as usize];
         cell.set(cell.get().wrapping_add(n));
     });
-    with_mirror(|live| live.add_count(c, n));
+    with_mirror(|live| {
+        live.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+    });
 }
 
 /// Records one sample into a distribution histogram on the current
@@ -387,11 +353,7 @@ pub fn snapshot() -> Telemetry {
             t.counters[i] = cell.get();
         }
     });
-    PHASES.with(|ps| {
-        for (i, cell) in ps.iter().enumerate() {
-            t.phase_nanos[i] = cell.get();
-        }
-    });
+    LAYERS.with(|ls| t.layers = *ls.borrow());
     HISTS.with(|hs| t.hists = *hs.borrow());
     t.mem = MEM_ACC.with(|m| m.get());
     // Fold in this thread's allocator ledger since the last job mark —
@@ -409,7 +371,7 @@ pub fn snapshot() -> Telemetry {
 pub fn take() -> Telemetry {
     let t = snapshot();
     COUNTERS.with(|cs| cs.iter().for_each(|c| c.set(0)));
-    PHASES.with(|ps| ps.iter().for_each(|p| p.set(0)));
+    LAYERS.with(|ls| *ls.borrow_mut() = [LayerStats::zeroed(); NUM_LAYERS]);
     HISTS.with(|hs| *hs.borrow_mut() = [Histogram::zeroed(); NUM_HISTS]);
     MEM_ACC.with(|m| m.set(MemStats::new()));
     mem::job_mark();
@@ -419,46 +381,6 @@ pub fn take() -> Telemetry {
 /// Resets the current thread's telemetry to zero.
 pub fn reset() {
     let _ = take();
-}
-
-/// RAII timer: created by [`time_phase`], adds the elapsed monotonic time
-/// to the phase's thread-local accumulator (and the installed mirror, if
-/// any) on drop.
-#[derive(Debug)]
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-    /// The mirror's previous `current_phase` marker, restored on drop
-    /// (`None` when no mirror was installed at creation).
-    mirror_prev: Option<usize>,
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        PHASES.with(|ps| {
-            let cell = &ps[self.phase as usize];
-            cell.set(cell.get().wrapping_add(nanos));
-        });
-        if let Some(prev) = self.mirror_prev {
-            with_mirror(|live| {
-                live.add_phase(self.phase, nanos);
-                live.restore_phase(prev);
-            });
-        }
-    }
-}
-
-/// Starts timing `phase` until the returned guard drops.
-#[inline]
-pub fn time_phase(phase: Phase) -> PhaseTimer {
-    let mut mirror_prev = None;
-    with_mirror(|live| mirror_prev = Some(live.enter_phase(phase)));
-    PhaseTimer {
-        phase,
-        start: Instant::now(),
-        mirror_prev,
-    }
 }
 
 #[cfg(test)]
@@ -479,44 +401,29 @@ mod tests {
     }
 
     #[test]
-    fn phase_timer_accumulates() {
-        reset();
-        {
-            let _t = time_phase(Phase::Label);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let t = take();
-        assert!(t.phase_nanos[Phase::Label as usize] > 0);
-        assert_eq!(t.phase_nanos[Phase::Verify as usize], 0);
-        assert!(t.phase_secs(Phase::Label) > 0.0);
-    }
-
-    #[test]
     fn merge_and_since() {
         let mut a = Telemetry::default();
         a.counters[0] = 2;
-        a.phase_nanos[1] = 10;
+        a.layers[1].self_nanos = 10;
         let mut b = Telemetry::default();
         b.counters[0] = 3;
-        b.phase_nanos[1] = 5;
+        b.layers[1].self_nanos = 5;
         a.merge(&b);
         assert_eq!(a.counters[0], 5);
-        assert_eq!(a.phase_nanos[1], 15);
+        assert_eq!(a.layers[1].self_nanos, 15);
         let d = a.since(&b);
         assert_eq!(d.counters[0], 2);
-        assert_eq!(d.phase_nanos[1], 10);
+        assert_eq!(d.layers[1].self_nanos, 10);
     }
 
     #[test]
     fn names_cover_variants() {
         assert_eq!(COUNTER_NAMES.len(), NUM_COUNTERS);
-        assert_eq!(PHASE_NAMES.len(), NUM_PHASES);
         assert_eq!(
             COUNTER_NAMES[Counter::BackwardMoves as usize],
             "backward_moves"
         );
-        assert_eq!(PHASE_NAMES[Phase::Verify as usize], "verify");
-        // Every counter (0..=12 = FlowAugmentations..ReportsGenerated) has
+        // Every counter (0..=13 = FlowAugmentations..ExpandCapped) has
         // a distinct JSON key — a duplicate would silently shadow a column
         // in the artifact.
         let unique: std::collections::HashSet<&str> = COUNTER_NAMES.iter().copied().collect();
@@ -534,7 +441,11 @@ mod tests {
             COUNTER_NAMES[Counter::ReportsGenerated as usize],
             "reports_generated"
         );
-        assert_eq!(Counter::ReportsGenerated as usize, NUM_COUNTERS - 1);
+        assert_eq!(
+            COUNTER_NAMES[Counter::ExpandCapped as usize],
+            "expand_capped"
+        );
+        assert_eq!(Counter::ExpandCapped as usize, NUM_COUNTERS - 1);
     }
 
     #[test]
@@ -582,41 +493,18 @@ mod tests {
     }
 
     #[test]
-    fn mirror_sees_live_counts_and_phases() {
+    fn mirror_sees_live_counts() {
         reset();
         let live = Arc::new(LiveTelemetry::new());
-        assert_eq!(live.current_phase(), None);
         {
             let _g = install_mirror(Arc::clone(&live));
             count(Counter::FlowAugmentations, 4);
-            {
-                let _t = time_phase(Phase::Search);
-                assert_eq!(live.current_phase(), Some(Phase::Search));
-                {
-                    let _inner = time_phase(Phase::Label);
-                    assert_eq!(live.current_phase(), Some(Phase::Label));
-                }
-                // Nested timer restored the outer phase marker.
-                assert_eq!(live.current_phase(), Some(Phase::Search));
-            }
-            assert_eq!(live.current_phase(), None);
         }
         // Mirror uninstalled: further counts stay local.
         count(Counter::FlowAugmentations, 10);
-        let snap = live.snapshot();
-        assert_eq!(snap.counter(Counter::FlowAugmentations), 4);
-        assert!(snap.phase_nanos[Phase::Search as usize] > 0);
-        assert!(snap.phase_nanos[Phase::Label as usize] > 0);
+        assert_eq!(live.snapshot().counter(Counter::FlowAugmentations), 4);
         // The thread-local view kept everything.
         assert_eq!(take().counter(Counter::FlowAugmentations), 14);
-    }
-
-    #[test]
-    fn phase_from_index_roundtrips() {
-        for i in 0..NUM_PHASES {
-            assert_eq!(Phase::from_index(i).map(|p| p as usize), Some(i));
-        }
-        assert_eq!(Phase::from_index(NUM_PHASES), None);
     }
 
     #[test]

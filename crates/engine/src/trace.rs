@@ -5,9 +5,9 @@
 //! traces say *when* and *under which Φ probe*. Each worker thread
 //! records [`Event`]s into a fixed-capacity ring buffer
 //! (drop-oldest, counted in `dropped_events` — no allocation and no
-//! locking once the buffer exists). Spans are hierarchical —
-//! `phi_search` → `phi_probe{phi}` → `frtcheck_sweep{n}` →
-//! `min_cut{node}` — with enter/exit timestamps from a monotonic clock
+//! locking once the buffer exists). Spans come from [`crate::layer`]
+//! guards and nest like the layers — `label{phi}` → `frtcheck_sweep{n}`
+//! → `min_cut{node}` — with enter/exit timestamps from a monotonic clock
 //! anchored once per job, and events carry up to two static key/value
 //! payloads (cut size, Φ bound, requeue count, …).
 //!
@@ -230,9 +230,10 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span with a payload. The single `enabled()` branch is the
-/// only cost when tracing is off.
+/// only cost when tracing is off. Spans are opened by
+/// [`crate::layer`] guards only, so span names are layer names.
 #[inline]
-pub fn span_with(name: &'static str, args: Payload) -> SpanGuard {
+pub(crate) fn span_with(name: &'static str, args: Payload) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
             name,
@@ -258,18 +259,6 @@ pub fn span_with(name: &'static str, args: Payload) -> SpanGuard {
         enter_nanos: nanos,
         active: true,
     }
-}
-
-/// Opens a payload-less span.
-#[inline]
-pub fn span(name: &'static str) -> SpanGuard {
-    span_with(name, [None, None])
-}
-
-/// Opens a span with one key/value payload.
-#[inline]
-pub fn span1(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
-    span_with(name, [Some((key, value)), None])
 }
 
 /// Records a point event with a payload.
@@ -402,6 +391,14 @@ mod tests {
         set_enabled(false);
         set_thread_capacity(DEFAULT_CAPACITY);
         r
+    }
+
+    fn span(name: &'static str) -> SpanGuard {
+        span_with(name, [None, None])
+    }
+
+    fn span1(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
+        span_with(name, [Some((key, value)), None])
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::cut::{build_lut_network, Cut, MapError};
 use crate::label::{flowmap_labels, Labeling};
+use engine::layer::{self, Layer};
 use netlist::{Circuit, NodeId};
 use retiming::{retime_min_period_forward, MoveStats, RetimingError};
 use std::collections::HashMap;
@@ -117,12 +118,10 @@ pub(crate) fn collect_roots(c: &Circuit, labeling: &Labeling) -> HashMap<NodeId,
 /// Panics if the circuit is not K-bounded (decompose first).
 pub fn flowmap(c: &Circuit, k: usize) -> Result<FlowMapResult, FlowMapError> {
     let labeling = {
-        let _t = engine::telemetry::time_phase(engine::telemetry::Phase::Label);
-        let _s = engine::trace::span1("flowmap_label", "k", k as u64);
+        let _l = layer::enter_with(Layer::Label, [Some(("k", k as u64)), None]);
         flowmap_labels(c, k)
     };
-    let _t = engine::telemetry::time_phase(engine::telemetry::Phase::Generate);
-    let _s = engine::trace::span("flowmap_generate");
+    let _l = layer::enter(Layer::Generate);
     let roots = collect_roots(c, &labeling);
     let mapped = build_lut_network(c, &roots, &format!("{}_flowmap", c.name()))?;
     let depth = mapped.clock_period()?;
@@ -163,7 +162,7 @@ pub struct FlowMapFrtResult {
 /// Panics if the circuit is not K-bounded (decompose first).
 pub fn flowmap_frt(c: &Circuit, k: usize) -> Result<FlowMapFrtResult, FlowMapError> {
     let mapped = flowmap(c, k)?;
-    let _t = engine::telemetry::time_phase(engine::telemetry::Phase::Generate);
+    let _l = layer::enter(Layer::Generate);
     let res = retime_min_period_forward(&mapped.circuit)?;
     Ok(FlowMapFrtResult {
         period: res.period,

@@ -68,8 +68,10 @@ impl<'a> Simulator<'a> {
                 actual: inputs.len(),
             });
         }
-        let _span = engine::trace::span1("sim_step", "nodes", self.order.len() as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Sim);
+        let _l = engine::layer::enter_with(
+            engine::Layer::SimStep,
+            [Some(("nodes", self.order.len() as u64)), None],
+        );
         for (&pi, &v) in c.inputs().iter().zip(inputs) {
             self.values[pi.index()] = v;
         }

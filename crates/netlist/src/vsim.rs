@@ -221,8 +221,10 @@ impl<'a> VecSimulator<'a> {
                 actual: inputs.len(),
             });
         }
-        let _span = engine::trace::span1("sim_step", "nodes", self.eval_nodes.len() as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Sim);
+        let _l = engine::layer::enter_with(
+            engine::Layer::SimStep,
+            [Some(("nodes", self.eval_nodes.len() as u64)), None],
+        );
         for (&pi, &v) in self.inputs.iter().zip(inputs) {
             self.values[pi as usize] = v;
         }

@@ -45,7 +45,7 @@ pub use stitch::{stitch as stitch_blocks, StitchStats};
 
 use engine::batch::{run_batch, BatchOptions, JobSpec};
 use engine::hist::Metric;
-use engine::mem::{self, MemPhase};
+use engine::layer::{self, Layer};
 use engine::{telemetry, trace};
 use netlist::{Circuit, NetlistError};
 use std::time::Duration;
@@ -273,10 +273,11 @@ pub fn partition_map(
     source: &Circuit,
     opts: &PartitionOptions,
 ) -> Result<PartitionedMapping, PartitionError> {
-    let _span = trace::span1("partition_map", "blocks", opts.partitions as u64);
     let (cl_stats, asg_meta, con, mut ex) = {
-        let _mem = mem::scope(MemPhase::Partition);
-        let _plan = trace::span("partition_plan");
+        let _l = layer::enter_with(
+            Layer::Partition,
+            [Some(("blocks", opts.partitions as u64)), None],
+        );
         let cl = cluster::cluster(source);
         let asg = assign::assign(source, &cl, opts.partitions.max(1), opts.balance);
         let con = contract::budget(source, &cl, &asg, opts.k);
@@ -305,7 +306,6 @@ pub fn partition_map(
         let mut mopts = turbomap::Options::with_k(opts.k);
         mopts.sweep_workers = opts.sweep_workers;
         specs.push(JobSpec::new(name, move || {
-            let _s = trace::span1("partition_block", "block", b as u64);
             telemetry::record(Metric::PartitionBlockGates, gates);
             telemetry::record(Metric::PartitionCutFfs, block_cut);
             if gates == 0 {
@@ -334,7 +334,7 @@ pub fn partition_map(
     let mut mapped: Vec<Circuit> = Vec::with_capacity(reports.len());
     let mut block_outcomes: Vec<BlockOutcome> = Vec::with_capacity(reports.len());
     for (b, r) in reports.into_iter().enumerate() {
-        // Fold each block's counters, histograms, and mem phases into
+        // Fold each block's counters, histograms, and layers into
         // the calling thread so job-level telemetry sees the whole run.
         telemetry::merge_local(&r.telemetry);
         trace::event_with(
@@ -378,8 +378,7 @@ pub fn partition_map(
     }
 
     let (stitched, stitch_stats) = {
-        let _mem = mem::scope(MemPhase::Partition);
-        let _s = trace::span("partition_stitch");
+        let _l = layer::enter(Layer::Partition);
         stitch::stitch(source, &ex, &mapped)?
     };
 

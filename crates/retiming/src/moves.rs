@@ -43,8 +43,7 @@ pub struct MoveStats {
 ///   an initial state.
 pub fn apply_retiming(c: &Circuit, r: &Retiming) -> Result<(Circuit, MoveStats), RetimingError> {
     r.validate(c)?;
-    let _span = engine::trace::span("apply_retiming");
-    let _mem = engine::mem::scope(engine::mem::MemPhase::Retime);
+    let _l = engine::layer::enter(engine::Layer::ApplyRetiming);
     let mut out = c.clone();
     let mut remaining: Vec<i64> = r.values().to_vec();
     let mut stats = MoveStats::default();

@@ -348,14 +348,13 @@ pub(crate) fn has_cut_with(
     k: usize,
 ) -> bool {
     debug_assert!(!exp.is_leaf(exp.root()));
-    let _span = engine::trace::span_with(
-        "min_cut",
+    let _l = engine::layer::enter_with(
+        engine::Layer::MinCut,
         [
             Some(("node", exp.node(exp.root()).node.index() as u64)),
             Some(("weight_bound", weight_bound)),
         ],
     );
-    let _mem = engine::mem::scope(engine::mem::MemPhase::MinCut);
     let q = Query {
         exp,
         ls,

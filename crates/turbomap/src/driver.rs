@@ -8,7 +8,7 @@
 
 use crate::frtcheck::{FrtContext, LabelPairs};
 use crate::generate::{generate_mapping, GenerateError};
-use engine::telemetry::{time_phase, Phase};
+use engine::layer::{self, Layer};
 use netlist::Circuit;
 use retiming::MoveStats;
 
@@ -246,7 +246,7 @@ fn search_and_generate(
     let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
     let upper = baseline.period.max(1);
     let ctx = {
-        let _t = time_phase(Phase::Search);
+        let _l = layer::enter(Layer::Search);
         if general {
             FrtContext::general(&bounded, opts.k, opts.general_horizon)
         } else {
@@ -257,11 +257,9 @@ fn search_and_generate(
     let mut iterations = Vec::new();
     let mut lo = 1u64;
     let mut hi = upper;
-    let phi_span = engine::trace::span1("phi_search", "upper", upper);
     let mut probe = |phi: u64, warm: Option<&LabelPairs>| {
         let res = {
-            let _t = time_phase(Phase::Label);
-            let _p = engine::trace::span1("phi_probe", "phi", phi);
+            let _l = layer::enter_with(Layer::Label, [Some(("phi", phi)), None]);
             ctx.check_opts(phi, warm, workers)
         };
         check_cancelled()?;
@@ -301,7 +299,6 @@ fn search_and_generate(
             lo = mid + 1;
         }
     }
-    drop(phi_span);
     let (phi, labels, _) = best;
     debug_assert_eq!(phi, lo.min(upper));
 
@@ -328,10 +325,10 @@ fn search_and_generate(
         });
     }
     let cuts = {
-        let _t = time_phase(Phase::Search);
+        let _l = layer::enter(Layer::Search);
         ctx.final_cuts(&labels, phi)
     };
-    let _t_gen = time_phase(Phase::Generate);
+    let _l = layer::enter(Layer::Generate);
     let roots = crate::generate::collect_roots(&bounded, &cuts)?;
     let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
         .keys()

@@ -202,11 +202,10 @@ impl ExpandedCircuit {
     /// Panics if `v` is not a gate.
     pub fn build(c: &Circuit, v: NodeId, bound: u64, max_nodes: usize) -> Option<ExpandedCircuit> {
         assert!(c.node(v).is_gate(), "expanded circuits root at gates");
-        let _span = engine::trace::span_with(
-            "expand",
+        let _l = engine::layer::enter_with(
+            engine::Layer::Expand,
             [Some(("node", v.index() as u64)), Some(("bound", bound))],
         );
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Expand);
         let mut index = ExpIndex::new();
         index.insert(v.0, 0, 0);
         let mut node: Vec<u32> = vec![v.0];

@@ -67,7 +67,8 @@ use std::sync::RwLock;
 
 /// Practical ceiling on expanded-circuit size; `F_v^i` beyond this is
 /// treated as cut-less at that bound (conservative; never triggered by the
-/// benchmark suite — see DESIGN.md).
+/// benchmark suite — see DESIGN.md). Gates that hit it are counted in the
+/// `expand_capped` telemetry counter and reported by a warning.
 pub const MAX_EXPANDED_NODES: usize = 500_000;
 
 /// Sentinel for `−∞` labels.
@@ -195,6 +196,16 @@ impl<'a> FrtContext<'a> {
     ///
     /// Panics on combinational cycles (validate first).
     pub fn new(circuit: &'a Circuit, k: usize, frt_cap: u64) -> FrtContext<'a> {
+        FrtContext::new_capped(circuit, k, frt_cap, MAX_EXPANDED_NODES)
+    }
+
+    /// [`FrtContext::new`] with an explicit expanded-circuit size cap.
+    pub(crate) fn new_capped(
+        circuit: &'a Circuit,
+        k: usize,
+        frt_cap: u64,
+        max_nodes: usize,
+    ) -> FrtContext<'a> {
         let raw_frt = retiming::max_forward_retiming_values(circuit);
         let mut frt_capped_gates = 0u64;
         for v in circuit.gate_ids() {
@@ -214,7 +225,7 @@ impl<'a> FrtContext<'a> {
             );
         }
         let frt: Vec<u64> = raw_frt.into_iter().map(|f| f.min(frt_cap)).collect();
-        FrtContext::build(circuit, k, frt, frt_capped_gates, Rule::Frt)
+        FrtContext::build(circuit, k, frt, frt_capped_gates, Rule::Frt, max_nodes)
     }
 
     /// The context of the general-retiming label check: every gate that
@@ -225,18 +236,27 @@ impl<'a> FrtContext<'a> {
     ///
     /// Panics on combinational cycles.
     pub(crate) fn general(circuit: &'a Circuit, k: usize, horizon: u64) -> FrtContext<'a> {
-        FrtContext::build(circuit, k, Vec::new(), 0, Rule::General { horizon })
+        FrtContext::build(
+            circuit,
+            k,
+            Vec::new(),
+            0,
+            Rule::General { horizon },
+            MAX_EXPANDED_NODES,
+        )
     }
 
     /// The shared builder: topological levels, the probe-invariant
-    /// expansion cache at each gate's [`FrtContext::bound`], and the
-    /// inverted cone index.
+    /// expansion cache at each gate's [`FrtContext::bound`] (expanded
+    /// circuits above `max_nodes` are dropped, counted and reported), and
+    /// the inverted cone index.
     fn build(
         circuit: &'a Circuit,
         k: usize,
         frt: Vec<u64>,
         frt_capped_gates: u64,
         rule: Rule,
+        max_nodes: usize,
     ) -> FrtContext<'a> {
         let order = circuit
             .comb_topo_order()
@@ -257,9 +277,21 @@ impl<'a> FrtContext<'a> {
             k,
             rule,
         };
+        let mut capped = 0u64;
         for v in circuit.gate_ids().filter(|&v| is_live(v)) {
-            ctx.expanded[v.index()] =
-                ExpandedCircuit::build(circuit, v, ctx.bound(v), MAX_EXPANDED_NODES);
+            ctx.expanded[v.index()] = ExpandedCircuit::build(circuit, v, ctx.bound(v), max_nodes);
+            capped += u64::from(ctx.expanded[v.index()].is_none());
+        }
+        if capped > 0 {
+            engine::telemetry::count(engine::telemetry::Counter::ExpandCapped, capped);
+            engine::log::warn(
+                "turbomap::frtcheck",
+                "expanded circuits hit the size cap; label updates on these gates find no cut",
+                &[
+                    ("gates", engine::JsonValue::UInt(capped)),
+                    ("max_nodes", engine::JsonValue::UInt(max_nodes as u64)),
+                ],
+            );
         }
         // (node, dependent gate) pairs, counting-sorted into a CSR row per
         // node in two passes over the cache, never stored as a list. The
@@ -428,8 +460,10 @@ impl<'a> FrtContext<'a> {
             }
             iterations += 1;
             engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
-            let _sweep = engine::trace::span1("frtcheck_sweep", "n", iterations as u64);
-            let _mem = engine::mem::scope(engine::mem::MemPhase::LabelSweep);
+            let _l = engine::layer::enter_with(
+                engine::Layer::FrtcheckSweep,
+                [Some(("n", iterations as u64)), None],
+            );
             let mut changed = false;
             for level in self.levels.iter() {
                 // Phase 1: collect this level's dirty nodes. The flags
@@ -1250,5 +1284,34 @@ mod tests {
         // An ample cap reports nothing.
         let ctx2 = FrtContext::new(&c, 2, 64);
         assert_eq!(ctx2.frt_capped_gates, 0);
+    }
+
+    #[test]
+    fn expansion_cap_is_counted_and_reported() {
+        let c = chainy();
+        engine::telemetry::reset();
+        let full = FrtContext::new(&c, 3, 32);
+        assert_eq!(
+            engine::telemetry::take().counter(engine::telemetry::Counter::ExpandCapped),
+            0
+        );
+        let gates = c.gate_ids().filter(|&v| full.expanded(v).is_some()).count() as u64;
+        assert!(gates > 0);
+        let sink = engine::log::MemorySink::new();
+        engine::log::set_sink(Box::new(sink.clone()));
+        // A one-node cap leaves no gate's expanded circuit standing.
+        let capped = FrtContext::new_capped(&c, 3, 32, 1);
+        engine::log::set_sink(Box::new(std::io::stderr()));
+        assert!(c.gate_ids().all(|v| capped.expanded(v).is_none()));
+        let t = engine::telemetry::take();
+        assert_eq!(t.counter(engine::telemetry::Counter::ExpandCapped), gates);
+        let logged = sink.contents();
+        let warning = logged
+            .lines()
+            .find(|l| l.contains("expanded circuits hit the size cap"))
+            .unwrap_or_else(|| panic!("no cap warning in {logged:?}"));
+        assert!(warning.contains("\"level\":\"warn\""), "{warning}");
+        assert!(warning.contains(&format!("\"gates\":{gates}")), "{warning}");
+        assert!(warning.contains("\"max_nodes\":1"), "{warning}");
     }
 }
