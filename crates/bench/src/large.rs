@@ -260,7 +260,9 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasu
     // Vector pass: all lanes at once.
     let start = Instant::now();
     let mut vsim = VecSimulator::new(circuit).map_err(|e| e.to_string())?;
-    let mut vector_out: Vec<Vec<Planes>> = Vec::with_capacity(cycles);
+    // PO words of every cycle, cycle-major.
+    let num_pos = circuit.outputs().len();
+    let mut vector_out: Vec<Planes> = Vec::with_capacity(cycles * num_pos);
     let mut inputs = vec![Planes::splat(Bit::X); m];
     for bits in &stimulus {
         for (i, planes) in inputs.iter_mut().enumerate() {
@@ -277,7 +279,7 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasu
             }
             *planes = Planes { p0, p1 };
         }
-        vector_out.push(vsim.step(&inputs).map_err(|e| e.to_string())?);
+        vector_out.extend_from_slice(vsim.step(&inputs).map_err(|e| e.to_string())?);
     }
     let vector_secs = start.elapsed().as_secs_f64();
 
@@ -290,7 +292,7 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasu
             let lane_in = &bits[l * m..(l + 1) * m];
             let out = sim.step(lane_in).map_err(|e| e.to_string())?;
             for (po, &s) in out.iter().enumerate() {
-                let v = vector_out[cycle][po].get(l);
+                let v = vector_out[cycle * num_pos + po].get(l);
                 if v != s {
                     return Err(format!(
                         "engines disagree: PO {po}, lane {l}, cycle {cycle}: \

@@ -261,36 +261,24 @@ pub fn random_equiv_mode(
     let mut ref_sim = VecSimulator::new(reference)?;
     let mut cand_sim = VecSimulator::new(candidate)?;
     let mut inputs = vec![Planes::splat(Bit::X); m];
-    let mut history: Vec<Vec<Bit>> = Vec::with_capacity(cycles); // lane-major per cycle
     for cycle in 0..cycles {
-        let mut cycle_bits = vec![Bit::Zero; LANES * m];
-        for (l, rng) in lane_rngs.iter_mut().enumerate() {
-            for i in 0..m {
-                cycle_bits[l * m + i] = Bit::from_bool(rng.next_u64() & 1 == 1);
-            }
-        }
-        for (i, planes) in inputs.iter_mut().enumerate() {
+        // Each lane draws its `m` bits of this cycle in PI order, exactly
+        // as `random_sequence` does, packed straight into the `p1` words.
+        for planes in &mut inputs {
             let mut p1 = 0u64;
-            for l in 0..LANES {
-                if cycle_bits[l * m + i] == Bit::One {
-                    p1 |= 1u64 << l;
-                }
+            for (l, rng) in lane_rngs.iter_mut().enumerate() {
+                p1 |= (rng.next_u64() & 1) << l;
             }
             *planes = Planes { p0: !p1, p1 };
         }
-        history.push(cycle_bits);
         let ref_out = ref_sim.step(&inputs)?;
         let cand_out = cand_sim.step(&inputs)?;
-        for (po, (&e, &a)) in ref_out.iter().zip(cand_out.iter()).enumerate() {
+        for (po, (&e, &a)) in ref_out.iter().zip(cand_out).enumerate() {
             let viol = mode.violations(e, a);
             if viol != 0 {
                 let l = viol.trailing_zeros() as usize;
-                let inputs: Vec<Vec<Bit>> = history
-                    .iter()
-                    .map(|bits| bits[l * m..(l + 1) * m].to_vec())
-                    .collect();
                 return Ok(EquivResult::Different(Box::new(CounterExample {
-                    inputs,
+                    inputs: random_sequence(m, cycle + 1, lane_seeds[l]),
                     cycle,
                     output: reference.node(reference.outputs()[po]).name().to_string(),
                     expected: e.get(l),
@@ -377,7 +365,7 @@ pub fn exhaustive_equiv(
             }
             let ref_out = ref_sim.step(&inputs)?;
             let cand_out = cand_sim.step(&inputs)?;
-            for (po, (&e, &a)) in ref_out.iter().zip(cand_out.iter()).enumerate() {
+            for (po, (&e, &a)) in ref_out.iter().zip(cand_out).enumerate() {
                 let mut viol = EquivMode::Conformance.violations(e, a);
                 while viol != 0 {
                     let l = viol.trailing_zeros() as usize;
@@ -589,6 +577,19 @@ mod tests {
         }
     }
 
+    /// `o` is a registered 6-input function of `a..f`.
+    fn registered_six_input(name: &str, f: TruthTable) -> Circuit {
+        let mut c = Circuit::new(name);
+        let g = c.add_gate("g", f).unwrap();
+        for pi in ["a", "b", "c", "d", "e", "f"] {
+            let v = c.add_input(pi).unwrap();
+            c.connect(v, g, vec![]).unwrap();
+        }
+        let o = c.add_output("o").unwrap();
+        c.connect(g, o, vec![Bit::Zero]).unwrap();
+        c
+    }
+
     #[test]
     fn counterexample_replays() {
         let c1 = inverter_circuit("c1", Bit::Zero);
@@ -599,6 +600,29 @@ mod tests {
             assert!(!r.is_equivalent());
         } else {
             panic!("should differ");
+        }
+
+        // A pair that only diverges when all six inputs were 1 on the
+        // previous cycle (1 lane-cycle in 64): the witness comes from a
+        // lane other than 0 and must replay on the scalar simulator to
+        // the same cycle, output and bits.
+        let seed = 11;
+        let and6 = registered_six_input("and6", TruthTable::and(6));
+        let zero6 = registered_six_input("zero6", TruthTable::const_zero(6));
+        let EquivResult::Different(ce) = random_equiv(&and6, &zero6, 3008, seed).unwrap() else {
+            panic!("a registered AND6 is not constant 0");
+        };
+        let lane0_seed = Rng64::new(seed).next_u64();
+        assert_ne!(ce.inputs, random_sequence(6, ce.cycle + 1, lane0_seed));
+        assert_eq!(ce.inputs.len(), ce.cycle + 1);
+        match sequence_equiv_mode(&and6, &zero6, &ce.inputs, EquivMode::Conformance).unwrap() {
+            EquivResult::Different(replay) => {
+                assert_eq!(replay.cycle, ce.cycle);
+                assert_eq!(replay.output, ce.output);
+                assert_eq!(replay.expected, ce.expected);
+                assert_eq!(replay.actual, ce.actual);
+            }
+            EquivResult::Equivalent => panic!("witness does not replay"),
         }
     }
 }

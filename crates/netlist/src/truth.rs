@@ -231,27 +231,12 @@ impl TruthTable {
     /// Panics if `inputs.len() != self.num_inputs()`.
     pub fn eval3_planes(&self, inputs: &[(u64, u64)]) -> (u64, u64) {
         assert_eq!(inputs.len(), self.num_inputs(), "arity mismatch");
-        let mut out0 = 0u64;
-        let mut out1 = 0u64;
-        for r in 0..self.num_rows() {
-            // Lanes whose inputs are consistent with row assignment `r`.
-            let mut consistent = !0u64;
-            for (i, &(p0, p1)) in inputs.iter().enumerate() {
-                consistent &= if (r >> i) & 1 == 1 { p1 } else { p0 };
-                if consistent == 0 {
-                    break;
-                }
-            }
-            if consistent == 0 {
-                continue;
-            }
-            if (self.words[r / 64] >> (r % 64)) & 1 == 1 {
-                out1 |= consistent;
-            } else {
-                out0 |= consistent;
-            }
-        }
-        (out0, out1)
+        eval3_planes_words(&self.words, inputs)
+    }
+
+    /// The on-set bitmap words (row `r` is bit `r % 64` of word `r / 64`).
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Finds an input vector `j` with `f(j) = target`, maximising the number
@@ -341,6 +326,43 @@ impl TruthTable {
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// The word-slice kernel behind [`TruthTable::eval3_planes`], shared
+/// with the compiled program of [`crate::vsim::VecSimulator`]: the one
+/// implementation of pessimistic three-valued evaluation over 64 lanes.
+///
+/// `words` is an on-set bitmap of at least `⌈2^k / 64⌉` words for
+/// `k = inputs.len()`. A lane's output plane `b` is set iff some row `r`
+/// with `f(r) = b` is consistent with the lane (for every input `i`, the
+/// lane could be bit `i` of `r`). The kernel computes that sum of
+/// products by Shannon expansion, folding the rows in order: each row
+/// enters as a constant, and whenever a row completes the pair of
+/// cofactors of input `i`, they merge into `(p0 & f|xi=0) | (p1 &
+/// f|xi=1)` per plane. That is `2^k − 1` branch-free merges, with no
+/// per-row product of `k` inputs.
+#[inline]
+pub(crate) fn eval3_planes_words(words: &[u64], inputs: &[(u64, u64)]) -> (u64, u64) {
+    // `pending[i]`: the finished `xi = 0` cofactor awaiting its pair.
+    let mut pending = [(0u64, 0u64); MAX_INPUTS];
+    for r in 0..1usize << inputs.len() {
+        let one = ((words[r / 64] >> (r % 64)) & 1).wrapping_neg();
+        let mut f = (!one, one);
+        // Each trailing 1 of `r` completes the `xi = 1` cofactor.
+        let mut i = 0;
+        while (r >> i) & 1 == 1 {
+            let (p0, p1) = inputs[i];
+            let lo = pending[i];
+            f = ((p0 & lo.0) | (p1 & f.0), (p0 & lo.1) | (p1 & f.1));
+            i += 1;
+        }
+        if i < inputs.len() {
+            pending[i] = f;
+        } else {
+            return f;
+        }
+    }
+    unreachable!("the last row completes every cofactor")
 }
 
 impl std::fmt::Display for TruthTable {

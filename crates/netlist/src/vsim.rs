@@ -12,22 +12,31 @@
 //! | `X`        | 1        | 1        |
 //!
 //! (`p0` = "could be 0", `p1` = "could be 1"; both clear never occurs.)
-//! Gates evaluate all 64 lanes with [`TruthTable::eval3_planes`] —
-//! bitwise minterm masks over the truth-table rows — which reproduces
-//! the pessimistic [`eval3`](TruthTable::eval3) semantics exactly,
-//! including controlling-value `X` masking. The equivalence checkers in
-//! [`crate::equiv`] run on this engine; the scalar simulator is retained
-//! as the differential oracle (see the `scalar_agreement` tests below).
+//! Gates evaluate all 64 lanes with the word-slice kernel behind
+//! [`TruthTable::eval3_planes`] — Shannon expansion over the truth-table
+//! rows — which reproduces the pessimistic [`eval3`](TruthTable::eval3)
+//! semantics exactly, including controlling-value `X` masking. The
+//! equivalence checkers in [`crate::equiv`] run on this engine; the
+//! scalar simulator is retained as the differential oracle (see
+//! `vector_matches_scalar_bit_for_bit` below).
 //!
-//! Internally the simulator is flat struct-of-arrays: one pin CSR
-//! (offsets into a flat pool of pin sources), one flat FF-chain arena,
-//! and a dense per-node value array — no per-node `Vec` or map on the
-//! step path, so a step is a single linear walk.
+//! [`VecSimulator::new`] compiles the circuit into a flat gate program.
+//! Every value lives in one `Vec<Planes>`: PIs, one slot per gate in
+//! combinational topological order, then the FF-chain slots, so each pin
+//! is a single `u32` slot index whatever its register count. Each gate's
+//! truth-table words are copied into one contiguous pool; arity ≤ 6 takes
+//! one word, wider gates take more words on the same code path. A PO is
+//! a 1-input buffer; an unconnected PO is a slot that is never written
+//! and stays `X`. A step is one linear walk over flat arrays with no
+//! pointer into the circuit, and it allocates nothing: [`VecSimulator::step`]
+//! returns the PO words from a reused buffer. Inlining the tables is the
+//! point — reading each gate's table through its own heap `Vec` made a
+//! 99k-gate step over 10× slower (see DESIGN.md).
 
 use crate::bit::Bit;
 use crate::circuit::Circuit;
 use crate::error::NetlistError;
-use crate::truth::TruthTable;
+use crate::truth::{eval3_planes_words, TruthTable, MAX_INPUTS};
 
 /// Number of simulation lanes packed into one [`Planes`] word.
 pub const LANES: usize = 64;
@@ -109,164 +118,178 @@ impl Planes {
     }
 }
 
-/// Sentinel in the pin-slot pool: read the driver's current value
-/// (weight-0 edge) instead of an FF chain slot.
-const DIRECT: u32 = u32::MAX;
-
 /// A cycle-accurate three-valued simulator evaluating 64 vectors per
 /// step. Lanes are fully independent: each starts from the circuit's
 /// initial state and sees its own input sequence.
+///
+/// [`VecSimulator::new`] compiles the circuit into a flat gate program
+/// that owns everything a step reads; the circuit is not borrowed.
 #[derive(Debug, Clone)]
-pub struct VecSimulator<'a> {
-    /// Non-PI nodes in combinational topological order.
-    eval_nodes: Vec<u32>,
-    /// Gate function per scheduled node (`None` = primary output).
-    funcs: Vec<Option<&'a TruthTable>>,
-    /// Pin CSR: pins of `eval_nodes[j]` are `pin_off[j]..pin_off[j+1]`.
-    pin_off: Vec<u32>,
-    /// Driver node index per pin (used when `pin_slot` is `DIRECT`).
-    pin_src: Vec<u32>,
-    /// FF-chain arena slot per pin, or `DIRECT` for weight-0 pins.
-    pin_slot: Vec<u32>,
-    /// Flat FF-chain arena, edge-major, source→sink within a chain.
-    chain: Vec<Planes>,
-    /// Chain extents per registered edge, paired with the source node:
-    /// `(source node index, start, end)` into `chain`.
-    shifts: Vec<(u32, u32, u32)>,
-    /// Current node values (dense, indexed by node id).
+pub struct VecSimulator {
+    /// Every value the program reads or writes, one [`Planes`] per slot:
+    /// PIs first, then one slot per instruction (program order), then
+    /// unconnected POs (never written, so always `X`), then the FF-chain
+    /// slots, edge-major and source→sink within a chain.
     values: Vec<Planes>,
-    /// Primary input node indices, PI order.
-    inputs: Vec<u32>,
-    /// Primary output node indices, PO order.
+    /// Pin CSR: the pins of instruction `j` are
+    /// `pins[pin_off[j]..pin_off[j + 1]]`, its arity is their count.
+    pin_off: Vec<u32>,
+    /// Value slot read by each pin.
+    pins: Vec<u32>,
+    /// Offset of instruction `j`'s truth-table words in `tt_pool`.
+    tt_off: Vec<u32>,
+    /// Every instruction's on-set words, back to back.
+    tt_pool: Vec<u64>,
+    /// One entry per registered edge: `(driver slot, start, end)`, the
+    /// chain's slot range in `values`.
+    shifts: Vec<(u32, u32, u32)>,
+    /// Number of primary inputs. They occupy slots `0..num_inputs`, and
+    /// instruction `j` writes slot `num_inputs + j`.
+    num_inputs: usize,
+    /// Value slot of each primary output, PO order.
     outputs: Vec<u32>,
-    /// Scratch pin-plane buffer reused across gates.
-    pins: Vec<(u64, u64)>,
+    /// PO values of the last step, returned by [`VecSimulator::step`].
+    out: Vec<Planes>,
 }
 
-impl<'a> VecSimulator<'a> {
-    /// Creates a simulator starting every lane from the circuit's
-    /// initial state.
+impl VecSimulator {
+    /// Compiles `circuit` into a gate program and starts every lane from
+    /// the circuit's initial state.
+    ///
+    /// Gates and connected POs become instructions in combinational
+    /// topological order; a PO is a 1-input buffer.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] when the circuit
-    /// cannot be evaluated.
-    pub fn new(circuit: &'a Circuit) -> Result<VecSimulator<'a>, NetlistError> {
+    /// cannot be evaluated and [`NetlistError::ArityMismatch`] when a
+    /// gate has fewer fanins than its function has inputs.
+    pub fn new(circuit: &Circuit) -> Result<VecSimulator, NetlistError> {
         let order = circuit.comb_topo_order()?;
-        let mut eval_nodes = Vec::with_capacity(order.len());
-        let mut funcs = Vec::with_capacity(order.len());
-        let mut pin_off = vec![0u32];
-        let mut pin_src = Vec::new();
-        let mut pin_slot = Vec::new();
-        let mut chain = Vec::new();
-        let mut shifts = Vec::new();
-
-        // Flatten every FF chain into one arena first, so pins can point
-        // straight at their chain slot.
-        let mut chain_start = vec![0u32; circuit.num_edges()];
-        for e in circuit.edge_ids() {
-            let edge = circuit.edge(e);
-            chain_start[e.index()] = chain.len() as u32;
-            if edge.weight() > 0 {
-                let start = chain.len() as u32;
-                chain.extend(edge.ffs().iter().map(|&b| Planes::splat(b)));
-                shifts.push((edge.from().index() as u32, start, chain.len() as u32));
-            }
+        let num_inputs = circuit.inputs().len();
+        let buf = TruthTable::buf();
+        // Slot numbering: PIs, instructions, unconnected POs, chains.
+        let mut slot = vec![u32::MAX; circuit.num_nodes()];
+        for (i, &v) in circuit.inputs().iter().enumerate() {
+            slot[v.index()] = i as u32;
         }
+        let mut program = Vec::with_capacity(order.len());
+        let mut dangling = Vec::new();
         for &v in &order {
             let node = circuit.node(v);
             if node.is_input() {
                 continue;
             }
-            eval_nodes.push(v.index() as u32);
-            funcs.push(node.function());
-            for &e in node.fanin() {
-                let edge = circuit.edge(e);
-                let w = edge.weight();
-                pin_src.push(edge.from().index() as u32);
-                pin_slot.push(if w == 0 {
-                    DIRECT
-                } else {
-                    chain_start[e.index()] + (w - 1) as u32
+            let tt = match node.function() {
+                Some(tt) => tt,
+                None if node.fanin().is_empty() => {
+                    dangling.push(v);
+                    continue;
+                }
+                None => &buf,
+            };
+            if node.fanin().len() != tt.num_inputs() {
+                return Err(NetlistError::ArityMismatch {
+                    node: node.name().to_string(),
+                    expected: tt.num_inputs(),
+                    actual: node.fanin().len(),
                 });
             }
-            pin_off.push(pin_src.len() as u32);
+            slot[v.index()] = (num_inputs + program.len()) as u32;
+            program.push((v, tt));
+        }
+        for &v in &dangling {
+            slot[v.index()] = (num_inputs + program.len()) as u32;
+        }
+        let mut values = vec![Planes::splat(Bit::X); num_inputs + program.len() + dangling.len()];
+
+        // Flatten every FF chain into the value array, so a pin is one
+        // slot index whatever its register count.
+        let mut chain_start = vec![0u32; circuit.num_edges()];
+        let mut shifts = Vec::new();
+        for e in circuit.edge_ids() {
+            let edge = circuit.edge(e);
+            if edge.weight() > 0 {
+                let start = values.len() as u32;
+                chain_start[e.index()] = start;
+                values.extend(edge.ffs().iter().map(|&b| Planes::splat(b)));
+                shifts.push((slot[edge.from().index()], start, values.len() as u32));
+            }
+        }
+
+        let mut pin_off = Vec::with_capacity(program.len() + 1);
+        pin_off.push(0u32);
+        let mut pins = Vec::new();
+        let mut tt_off = Vec::with_capacity(program.len());
+        let mut tt_pool = Vec::new();
+        for &(v, tt) in &program {
+            for &e in circuit.node(v).fanin() {
+                let edge = circuit.edge(e);
+                pins.push(match edge.weight() {
+                    0 => slot[edge.from().index()],
+                    w => chain_start[e.index()] + (w - 1) as u32,
+                });
+            }
+            pin_off.push(pins.len() as u32);
+            tt_off.push(tt_pool.len() as u32);
+            tt_pool.extend_from_slice(tt.words());
         }
         Ok(VecSimulator {
-            eval_nodes,
-            funcs,
+            values,
             pin_off,
-            pin_src,
-            pin_slot,
-            chain,
+            pins,
+            tt_off,
+            tt_pool,
             shifts,
-            values: vec![Planes::splat(Bit::X); circuit.num_nodes()],
-            inputs: circuit.inputs().iter().map(|v| v.index() as u32).collect(),
-            outputs: circuit.outputs().iter().map(|v| v.index() as u32).collect(),
-            pins: Vec::new(),
+            num_inputs,
+            outputs: circuit.outputs().iter().map(|v| slot[v.index()]).collect(),
+            out: Vec::with_capacity(circuit.outputs().len()),
         })
     }
 
     /// Advances one clock cycle on all 64 lanes and returns the PO
-    /// values (PO order, one [`Planes`] word per output).
+    /// values (PO order, one [`Planes`] word per output). The slice is
+    /// the simulator's own buffer, overwritten by the next step.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::PiVectorLength`] if `inputs.len()` differs
     /// from the number of PIs.
-    pub fn step(&mut self, inputs: &[Planes]) -> Result<Vec<Planes>, NetlistError> {
-        if inputs.len() != self.inputs.len() {
+    pub fn step(&mut self, inputs: &[Planes]) -> Result<&[Planes], NetlistError> {
+        if inputs.len() != self.num_inputs {
             return Err(NetlistError::PiVectorLength {
-                expected: self.inputs.len(),
+                expected: self.num_inputs,
                 actual: inputs.len(),
             });
         }
         let _l = engine::layer::enter_with(
             engine::Layer::SimStep,
-            [Some(("nodes", self.eval_nodes.len() as u64)), None],
+            [Some(("nodes", self.tt_off.len() as u64)), None],
         );
-        for (&pi, &v) in self.inputs.iter().zip(inputs) {
-            self.values[pi as usize] = v;
-        }
-        for (j, &v) in self.eval_nodes.iter().enumerate() {
-            let (lo, hi) = (self.pin_off[j] as usize, self.pin_off[j + 1] as usize);
-            self.pins.clear();
-            for p in lo..hi {
-                let slot = self.pin_slot[p];
-                let planes = if slot == DIRECT {
-                    self.values[self.pin_src[p] as usize]
-                } else {
-                    self.chain[slot as usize]
-                };
-                self.pins.push((planes.p0, planes.p1));
+        self.values[..self.num_inputs].copy_from_slice(inputs);
+        let mut gathered = [(0u64, 0u64); MAX_INPUTS];
+        for (j, &tt) in self.tt_off.iter().enumerate() {
+            let pins = &self.pins[self.pin_off[j] as usize..self.pin_off[j + 1] as usize];
+            for (g, &p) in gathered.iter_mut().zip(pins) {
+                let v = self.values[p as usize];
+                *g = (v.p0, v.p1);
             }
-            self.values[v as usize] = match self.funcs[j] {
-                Some(tt) => {
-                    let (p0, p1) = tt.eval3_planes(&self.pins);
-                    Planes { p0, p1 }
-                }
-                // PO: pass the single fanin through (X when unconnected).
-                None => match self.pins.first() {
-                    Some(&(p0, p1)) => Planes { p0, p1 },
-                    None => Planes::splat(Bit::X),
-                },
-            };
+            let (p0, p1) =
+                eval3_planes_words(&self.tt_pool[tt as usize..], &gathered[..pins.len()]);
+            self.values[self.num_inputs + j] = Planes { p0, p1 };
         }
         // Synchronous FF shift, one rotation per registered edge: the
         // sink-end slot falls off, the driver's new value enters at the
         // source end.
         for &(src, start, end) in &self.shifts {
-            let chain = &mut self.chain[start as usize..end as usize];
-            for i in (1..chain.len()).rev() {
-                chain[i] = chain[i - 1];
-            }
-            chain[0] = self.values[src as usize];
+            let (start, end) = (start as usize, end as usize);
+            self.values.copy_within(start..end - 1, start + 1);
+            self.values[start] = self.values[src as usize];
         }
-        Ok(self
-            .outputs
-            .iter()
-            .map(|&po| self.values[po as usize])
-            .collect())
+        self.out.clear();
+        self.out
+            .extend(self.outputs.iter().map(|&po| self.values[po as usize]));
+        Ok(&self.out)
     }
 }
 
@@ -305,10 +328,10 @@ mod tests {
 
     #[test]
     fn eval3_planes_matches_eval3_exhaustively() {
-        // Every truth table of arity ≤ 2, every 3-valued input combo,
+        // Every truth table of arity ≤ 3, every 3-valued input combo,
         // packed into lanes — the bitplane path must agree with eval3.
         let all = [Bit::Zero, Bit::One, Bit::X];
-        for k in 0..=2usize {
+        for k in 0..=3usize {
             for code in 0..(1u32 << (1 << k)) {
                 let tt = TruthTable::from_fn(k, |r| (code >> r) & 1 == 1);
                 let combos: Vec<Vec<Bit>> = (0..3usize.pow(k as u32))
@@ -339,30 +362,35 @@ mod tests {
     }
 
     /// A random sequential circuit: `pis` inputs, `gates` gates of
-    /// arity 1–3 with random functions, random FF weights 0–2 with
-    /// random (possibly `X`) initial values, and `pos` outputs.
+    /// arity 0–8 with random functions (constants, and multi-word truth
+    /// tables at arity 7–8), random FF weights 0–2 with random (possibly
+    /// `X`) initial values, and `pos` outputs of which the first is fed
+    /// through an FF, followed by one unconnected output.
     fn random_circuit(seed: u64, pis: usize, gates: usize, pos: usize) -> Circuit {
         let mut rng = Rng64::new(seed);
         let mut c = Circuit::new(format!("rand{seed}"));
         let mut drivers = Vec::new();
+        let random_ffs = |rng: &mut Rng64, w: usize| -> Vec<Bit> {
+            (0..w)
+                .map(|_| match rng.next_u64() % 3 {
+                    0 => Bit::Zero,
+                    1 => Bit::One,
+                    _ => Bit::X,
+                })
+                .collect()
+        };
         for i in 0..pis {
             drivers.push(c.add_input(format!("i{i}")).unwrap());
         }
         for g in 0..gates {
-            let k = 1 + (rng.next_u64() % 3) as usize;
-            let code = rng.next_u64();
-            let tt = TruthTable::from_fn(k, |r| (code >> r) & 1 == 1);
+            let k = (rng.next_u64() % 9) as usize;
+            let codes: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+            let tt = TruthTable::from_fn(k, |r| (codes[r / 64] >> (r % 64)) & 1 == 1);
             let v = c.add_gate(format!("g{g}"), tt).unwrap();
             for _ in 0..k {
                 let from = drivers[(rng.next_u64() as usize) % drivers.len()];
                 let w = (rng.next_u64() % 3) as usize;
-                let ffs: Vec<Bit> = (0..w)
-                    .map(|_| match rng.next_u64() % 3 {
-                        0 => Bit::Zero,
-                        1 => Bit::One,
-                        _ => Bit::X,
-                    })
-                    .collect();
+                let ffs = random_ffs(&mut rng, w);
                 c.connect(from, v, ffs).unwrap();
             }
             drivers.push(v);
@@ -370,8 +398,10 @@ mod tests {
         for p in 0..pos {
             let o = c.add_output(format!("o{p}")).unwrap();
             let from = drivers[(rng.next_u64() as usize) % drivers.len()];
-            c.connect(from, o, vec![]).unwrap();
+            let ffs = random_ffs(&mut rng, usize::from(p == 0));
+            c.connect(from, o, ffs).unwrap();
         }
+        c.add_output("unconnected").unwrap();
         c
     }
 
@@ -475,6 +505,22 @@ mod tests {
                 expected: 2,
                 actual: 1
             })
+        );
+    }
+
+    #[test]
+    fn underconnected_gate_is_a_typed_error() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a").unwrap();
+        let g = c.add_gate("g", TruthTable::and(2)).unwrap();
+        c.connect(a, g, vec![]).unwrap();
+        assert_eq!(
+            VecSimulator::new(&c).unwrap_err(),
+            NetlistError::ArityMismatch {
+                node: "g".into(),
+                expected: 2,
+                actual: 1
+            }
         );
     }
 
