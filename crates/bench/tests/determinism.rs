@@ -132,13 +132,14 @@ fn canonical_artifact_identical_with_mem_accounting_on_and_off() {
     engine::mem::set_enabled(false);
     let on_text = table1_json(&on, cfg.k, VERIFY_VECTORS, true).render_pretty();
 
-    // The accounting run actually attributed heap activity to layers,
-    // so the comparison is real.
+    // The accounting run actually attributed heap activity to layers
+    // (expanded-circuit balls grow inside the cut queries), so the
+    // comparison is real.
     assert!(
         on.iter().any(|r| {
             r.outcome
                 .completed()
-                .map(|row| row.turbomap_frt.telemetry.layer(Layer::Expand).has_mem())
+                .map(|row| row.turbomap_frt.telemetry.layer(Layer::MinCut).has_mem())
                 .unwrap_or(false)
         }),
         "accounting was enabled but no layer memory was recorded"

@@ -45,8 +45,8 @@ pub enum Metric {
     /// Span durations in nanoseconds (recorded when tracing is enabled;
     /// a timing field — canonical artifacts zero it).
     SpanNanos = 3,
-    /// Cut queries per Φ probe answered from the probe-invariant expansion
-    /// cache (one sample per label-check call).
+    /// Gate label updates scheduled per Φ probe, each one cut query on the
+    /// gate's ball (one sample per label-check call).
     CacheHitsPerProbe = 4,
     /// Dirty-task count of each topological level large enough for the
     /// parallel LabelUpdate path. Recorded from the level size alone, so

@@ -267,6 +267,21 @@ fn parse_literal(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Bytes the string scanner examined or copied on this thread: the
+    /// deterministic work count the linearity test gates on.
+    static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds `n` to the test-build work count; nothing in other builds.
+#[inline]
+fn examined(n: usize) {
+    #[cfg(test)]
+    EXAMINED.with(|e| e.set(e.get() + n as u64));
+    let _ = n;
+}
+
 fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
@@ -275,6 +290,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     while let Some(&b) = bytes.get(*pos) {
+        examined(1);
         match b {
             b'"' => {
                 *pos += 1;
@@ -282,6 +298,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
             }
             b'\\' => {
                 *pos += 1;
+                examined(1);
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -301,6 +318,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                         // Surrogates are not produced by our writer; map
                         // them to the replacement character on read.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        examined(4);
                         *pos += 4;
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
@@ -313,8 +331,12 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                 // on a character boundary of the already-valid `text`.
                 let run = bytes[*pos..]
                     .iter()
-                    .position(|&c| c == b'"' || c == b'\\')
+                    .position(|&c| {
+                        examined(1);
+                        c == b'"' || c == b'\\'
+                    })
                     .map_or(bytes.len(), |n| *pos + n);
+                examined(run - *pos);
                 out.push_str(&text[*pos..run]);
                 *pos = run;
             }
@@ -465,32 +487,34 @@ mod tests {
         assert!(JsonValue::parse("nul").is_err());
     }
 
+    /// Gated on the scanner's own count of bytes examined and copied, not
+    /// on wall time, so machine load cannot fail it.
     #[test]
     fn string_parse_is_linear() {
         // A string-heavy document: many long plain strings with an escape
-        // in each, so both the run copy and the escape path are timed.
+        // in each, so both the run copy and the escape path are counted.
         let doc = |bytes: usize| {
             let item = format!("\"{}\\n{}\"", "a".repeat(500), "é".repeat(250));
             let n = bytes / item.len();
             format!("[{}]", vec![item; n].join(","))
         };
-        let best = |text: &str| {
-            (0..3)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    let v = JsonValue::parse(text).expect("valid document");
-                    assert!(matches!(v, JsonValue::Array(_)));
-                    t.elapsed()
-                })
-                .min()
-                .expect("three runs")
+        let work = |text: &str| {
+            EXAMINED.with(|e| e.set(0));
+            let v = JsonValue::parse(text).expect("valid document");
+            assert!(matches!(v, JsonValue::Array(_)));
+            EXAMINED.with(std::cell::Cell::get)
         };
         let small = doc(2 << 20);
         let large = doc(4 << 20);
-        let (t_small, t_large) = (best(&small), best(&large));
+        let (w_small, w_large) = (work(&small), work(&large));
         assert!(
-            t_large.as_secs_f64() <= 2.5 * t_small.as_secs_f64(),
-            "doubling the input took {t_small:?} -> {t_large:?}"
+            w_small as usize >= small.len(),
+            "{w_small} < {}",
+            small.len()
+        );
+        assert!(
+            w_large as f64 <= 2.5 * w_small as f64,
+            "doubling the input examined {w_small} -> {w_large} bytes"
         );
     }
 

@@ -390,7 +390,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 // RSS probes.
 
 fn proc_status_kib(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status_kib(&std::fs::read_to_string("/proc/self/status").ok()?, field)
+}
+
+/// One `kB` field of a `/proc/<pid>/status` snapshot.
+fn status_kib(status: &str, field: &str) -> Option<u64> {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(field) {
             let kb = rest.trim().trim_end_matches("kB").trim();
@@ -523,14 +527,28 @@ mod tests {
         });
     }
 
+    /// Every assertion reads one status snapshot: sibling test threads
+    /// grow the heap concurrently, so two reads of `VmHWM` may differ.
     #[test]
     fn rss_probe_reports_on_linux() {
         if cfg!(target_os = "linux") {
-            let peak = peak_rss_kib().expect("VmHWM present on Linux");
-            assert!(peak > 0);
-            assert_eq!(peak_rss(), Some(peak * 1024));
-            assert!(current_rss_kib().expect("VmRSS present") > 0);
+            let status = std::fs::read_to_string("/proc/self/status").expect("status");
+            let peak = status_kib(&status, "VmHWM:").expect("VmHWM present on Linux");
+            let now = status_kib(&status, "VmRSS:").expect("VmRSS present");
+            assert!(now > 0 && now <= peak, "VmRSS {now} kB, VmHWM {peak} kB");
+            // The probes read the same fields; the peak only grows.
+            assert!(peak_rss_kib().expect("VmHWM") >= peak);
+            assert!(peak_rss().expect("VmHWM") >= peak * 1024);
+            assert!(current_rss_kib().expect("VmRSS") > 0);
         }
+    }
+
+    #[test]
+    fn status_fields_parse() {
+        let status = "Name:\tx\nVmHWM:\t  2048 kB\nVmRSS:\t1024 kB\n";
+        assert_eq!(status_kib(status, "VmHWM:"), Some(2048));
+        assert_eq!(status_kib(status, "VmRSS:"), Some(1024));
+        assert_eq!(status_kib(status, "VmSwap:"), None);
     }
 
     #[test]

@@ -30,9 +30,10 @@ pub enum Counter {
     FrtSweeps = 1,
     /// Gates re-queued (marked dirty) during FRTcheck sweeps.
     FrtRequeuedGates = 2,
-    /// Expanded-circuit node-cache hits (`(node, weight)` already built).
+    /// Expanded-node lookups that found `(node, weight)` already present
+    /// (ball growth and whole `F_v` builds alike).
     ExpandCacheHits = 3,
-    /// Expanded-circuit node-cache misses (fresh expanded node).
+    /// Expanded nodes created (ball growth and whole `F_v` builds alike).
     ExpandCacheMisses = 4,
     /// Forward unit register moves applied by `retiming::moves`.
     ForwardMoves = 5,
@@ -55,13 +56,10 @@ pub enum Counter {
     /// Mapping reports generated (`crates/report`): witness extraction
     /// plus timing attribution for one run.
     ReportsGenerated = 12,
-    /// Gates whose expanded circuit hit the size cap, so every label
-    /// update on them answers "no cut" — the mapping may be suboptimal.
-    ExpandCapped = 13,
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 14;
+pub const NUM_COUNTERS: usize = 13;
 
 /// Stable snake_case names, indexed by `Counter as usize` (used as JSON
 /// keys — part of the `BENCH_table1.json` schema).
@@ -79,7 +77,6 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "oracle_failures",
     "shrink_steps",
     "reports_generated",
-    "expand_capped",
 ];
 
 /// A merged telemetry snapshot.
@@ -423,7 +420,7 @@ mod tests {
             COUNTER_NAMES[Counter::BackwardMoves as usize],
             "backward_moves"
         );
-        // Every counter (0..=13 = FlowAugmentations..ExpandCapped) has
+        // Every counter (0..=12 = FlowAugmentations..ReportsGenerated) has
         // a distinct JSON key — a duplicate would silently shadow a column
         // in the artifact.
         let unique: std::collections::HashSet<&str> = COUNTER_NAMES.iter().copied().collect();
@@ -441,11 +438,7 @@ mod tests {
             COUNTER_NAMES[Counter::ReportsGenerated as usize],
             "reports_generated"
         );
-        assert_eq!(
-            COUNTER_NAMES[Counter::ExpandCapped as usize],
-            "expand_capped"
-        );
-        assert_eq!(Counter::ExpandCapped as usize, NUM_COUNTERS - 1);
+        assert_eq!(Counter::ReportsGenerated as usize, NUM_COUNTERS - 1);
     }
 
     #[test]

@@ -145,7 +145,6 @@ pub fn explain(source: &Circuit, opts: Options) -> Result<Explained, ReportError
     // Per-gate label attribution plus planner demand bounds on the roots.
     let plan = turbomap::plan_mapping(
         &bounded,
-        |v| ctx.expanded(v),
         &probe.labels.ls,
         phi_labels,
         opts.k,

@@ -20,8 +20,9 @@
 //!
 //! # The flow kernel
 //!
-//! The flow runs directly on the cached [`ExpandedCircuit`]; no network
-//! is built. Node `i` splits into `i_in → i_out`, a virtual source feeds
+//! The flow runs directly on an [`Expansion`] — a whole
+//! [`ExpandedCircuit`], or a root's lazily grown ball — and no network is
+//! built. Node `i` splits into `i_in → i_out`, a virtual source feeds
 //! every leaf's `i_in`, and the sink is the root's `in` half. Augmenting
 //! paths are found by BFS **from the sink**, walking residual arcs
 //! backwards:
@@ -32,7 +33,9 @@
 //!
 //! A leaf's `in` half is one arc from the source, so a pass ends at the
 //! first leaf it reaches, and a query only visits the nodes near the root
-//! that its K + 1 augmentations need.
+//! that its K + 1 augmentations need. On a ball, entering a node's `in`
+//! half is what materialises its fanins ([`Expansion::grow`]), so the
+//! ball holds exactly what the queries walked into.
 //!
 //! When the flow stays at most K, the last, failing pass has visited
 //! exactly the split nodes that reach the sink in the residual graph.
@@ -44,7 +47,7 @@
 //! mid-sweep `l^s` values are lower bounds, not monotone along edges, so a
 //! violator may legally sit strictly inside `X`.
 
-use crate::expand::{ExpNode, ExpandedCircuit};
+use crate::expand::{ExpNode, ExpandedCircuit, Expansion};
 
 /// A cut on an expanded circuit: the future LUT inputs, as expanded nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,9 +71,10 @@ struct FlowUnit {
 /// Reusable state for cut queries; one per thread (they are not shared).
 ///
 /// Split node `2i` is `i_in` and `2i + 1` is `i_out`. Arrays grow to the
-/// largest `F_v` seen and are never cleared: BFS marks carry a pass stamp
-/// and per-node flow carries a query stamp, so a query only touches the
-/// nodes it visits. A stamp counter that wraps clears its array once.
+/// largest `F_v` or ball seen (a ball also mid-query, as it grows) and are
+/// never cleared: BFS marks carry a pass stamp and per-node flow carries
+/// a query stamp, so a query only touches the nodes it visits. A stamp
+/// counter that wraps clears its array once.
 #[derive(Debug, Clone, Default)]
 pub struct CutScratch {
     /// BFS pass that last visited each split node.
@@ -104,9 +108,12 @@ impl CutScratch {
         CutScratch::default()
     }
 
-    /// Sizes the arrays for `n` expanded nodes and starts a query.
-    fn begin_query(&mut self, n: usize) {
+    /// Sizes the arrays for at least `n` expanded nodes. New entries read
+    /// as unvisited and flow-free: stamps start at 1.
+    #[inline]
+    fn reserve(&mut self, n: usize) {
         if self.flow_stamp.len() < n {
+            let n = n.max(2 * self.flow_stamp.len());
             self.seen.resize(2 * n, 0);
             self.next.resize(2 * n, 0);
             self.slot.resize(2 * n, 0);
@@ -114,6 +121,11 @@ impl CutScratch {
             self.through.resize(n, 0);
             self.head.resize(n, NIL);
         }
+    }
+
+    /// Sizes the arrays for `n` expanded nodes and starts a query.
+    fn begin_query(&mut self, n: usize) {
+        self.reserve(n);
         self.query = self.query.wrapping_add(1);
         if self.query == 0 {
             self.flow_stamp.fill(0);
@@ -178,8 +190,8 @@ impl CutScratch {
     /// One BFS pass from the sink over reversed residual arcs. Returns the
     /// `in` half of the first leaf reached, or `None` once every split
     /// node that reaches the sink has been visited.
-    fn search(&mut self, q: &Query) -> Option<usize> {
-        let t = 2 * q.exp.root();
+    fn search<G: Expansion>(&mut self, q: &mut Query<'_, G>) -> Option<usize> {
+        let t = 0;
         self.begin_pass(t);
         let mut qi = 0;
         while qi < self.queue.len() {
@@ -189,6 +201,8 @@ impl CutScratch {
             if y.is_multiple_of(2) {
                 // `i_in` of a non-leaf: its fanins' edges, and the reverse
                 // of its own arc when that carries flow.
+                q.exp.grow(i);
+                self.reserve(q.exp.len());
                 for &f in q.exp.fanins(i) {
                     self.visit(2 * f as usize + 1, y, NIL);
                 }
@@ -251,15 +265,15 @@ impl CutScratch {
 }
 
 /// The parameters of one cut query.
-struct Query<'a> {
-    exp: &'a ExpandedCircuit,
+struct Query<'a, G> {
+    exp: G,
     ls: &'a [i64],
     phi: i64,
     height_bound: i64,
     weight_bound: u64,
 }
 
-impl Query<'_> {
+impl<G: Expansion> Query<'_, G> {
     /// A declared leaf, or heavier than the weight bound: fed by the
     /// source.
     #[inline]
@@ -271,8 +285,8 @@ impl Query<'_> {
     /// height bound, so it may sit on the cut.
     #[inline]
     fn cuttable(&self, i: usize) -> bool {
-        let en = self.exp.node(i);
-        self.ls[en.node.index()] - self.phi * (en.weight as i64) < self.height_bound
+        self.ls[self.exp.node_id(i) as usize] - self.phi * (self.exp.weight(i) as i64)
+            < self.height_bound
     }
 }
 
@@ -304,18 +318,20 @@ pub fn find_cut(
     )
 }
 
-/// [`find_cut`] with a caller-provided scratch — the form mapping
-/// generation uses, reusing one [`CutScratch`] across all gates.
-pub fn find_cut_with(
+/// [`find_cut`] on any [`Expansion`] with a caller-provided scratch — the
+/// form mapping generation uses, reusing one [`CutScratch`] across all
+/// gates. The signals come in expanded-index order; the cut itself (as a
+/// set) does not depend on the numbering.
+pub fn find_cut_with<G: Expansion>(
     scratch: &mut CutScratch,
-    exp: &ExpandedCircuit,
+    mut exp: G,
     ls: &[i64],
     phi: i64,
     height_bound: i64,
     weight_bound: u64,
     k: usize,
 ) -> Option<ExpCut> {
-    if !has_cut_with(scratch, exp, ls, phi, height_bound, weight_bound, k) {
+    if !has_cut_with(scratch, &mut exp, ls, phi, height_bound, weight_bound, k) {
         return None;
     }
     let s = &*scratch;
@@ -338,39 +354,39 @@ pub fn find_cut_with(
 /// Whether [`find_cut_with`] would find a cut, without extracting it:
 /// one bounded max-flow, leaving the last pass's residual reach in
 /// `scratch`. This is the question every label update asks.
-pub(crate) fn has_cut_with(
+pub(crate) fn has_cut_with<G: Expansion>(
     scratch: &mut CutScratch,
-    exp: &ExpandedCircuit,
+    exp: G,
     ls: &[i64],
     phi: i64,
     height_bound: i64,
     weight_bound: u64,
     k: usize,
 ) -> bool {
-    debug_assert!(!exp.is_leaf(exp.root()));
+    debug_assert!(!exp.is_leaf(0));
     let _l = engine::layer::enter_with(
         engine::Layer::MinCut,
         [
-            Some(("node", exp.node(exp.root()).node.index() as u64)),
+            Some(("node", u64::from(exp.node_id(0)))),
             Some(("weight_bound", weight_bound)),
         ],
     );
-    let q = Query {
+    let t = 0;
+    scratch.begin_query(exp.len());
+    let mut q = Query {
         exp,
         ls,
         phi,
         height_bound,
         weight_bound,
     };
-    let t = 2 * exp.root();
-    scratch.begin_query(exp.len());
     let mut flow = 0usize;
     let mut visited = 0u64;
     let found = loop {
         if flow > k {
             break false;
         }
-        let leaf = scratch.search(&q);
+        let leaf = scratch.search(&mut q);
         visited += scratch.queue.len() as u64;
         let Some(leaf) = leaf else {
             // The flow is exact (not truncated at K + 1): a real per-cut
@@ -402,9 +418,9 @@ pub(crate) fn has_cut_with(
 /// search over `[0, cap + 1]` with `cap + 1` as the "no cut" sentinel:
 /// `⌈log2(cap + 2)⌉` flows, no separate existence flow, and no cut is
 /// extracted — callers need only the weight.
-pub fn min_cut_weight_with(
+pub fn min_cut_weight_with<G: Expansion>(
     scratch: &mut CutScratch,
-    exp: &ExpandedCircuit,
+    mut exp: G,
     ls: &[i64],
     phi: i64,
     height_bound: i64,
@@ -414,7 +430,7 @@ pub fn min_cut_weight_with(
     let (mut lo, mut hi) = (0u64, cap.saturating_add(1));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if has_cut_with(scratch, exp, ls, phi, height_bound, mid, k) {
+        if has_cut_with(scratch, &mut exp, ls, phi, height_bound, mid, k) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -458,7 +474,7 @@ mod tests {
         // Figure 3: frt(c) = 0, so b^1 cannot be inside the LUT. With K=2
         // a cut {a^0, b^1} exists (both cuttable as signals).
         let (c, cc) = fig_circuit(false);
-        let exp = ExpandedCircuit::build(&c, cc, 0, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 0);
         let ls = zero_labels(&c);
         let cut = find_cut(&exp, &ls, 10, 100, 0, 2).unwrap();
         assert_eq!(cut.signals.len(), 2);
@@ -472,7 +488,7 @@ mod tests {
         // whole cone as one LUT with inputs {i1^1, i1^2}. Force the deep
         // cut by making a and b uncuttable (high labels).
         let (c, cc) = fig_circuit(true);
-        let exp = ExpandedCircuit::build(&c, cc, 1, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 1);
         let mut ls = zero_labels(&c);
         ls[c.find("a").unwrap().index()] = 1_000;
         ls[c.find("b").unwrap().index()] = 1_000;
@@ -493,7 +509,7 @@ mod tests {
         // Give `a` a huge label: it cannot be a cut signal, so the cut
         // must go past it to i1 (possible only if K allows).
         let (c, cc) = fig_circuit(true);
-        let exp = ExpandedCircuit::build(&c, cc, 1, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 1);
         let mut ls = zero_labels(&c);
         ls[c.find("a").unwrap().index()] = 1_000;
         let phi = 10;
@@ -507,7 +523,7 @@ mod tests {
     #[test]
     fn impossible_height_returns_none() {
         let (c, cc) = fig_circuit(false);
-        let exp = ExpandedCircuit::build(&c, cc, 0, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 0);
         let mut ls = zero_labels(&c);
         // Every potential cut signal too high.
         for v in c.node_ids() {
@@ -532,7 +548,7 @@ mod tests {
         // Figure 4 circuit: at K=3 a weight-0 cut {a^0, b^1} exists, so
         // the query must return weight 0 even though weight 1 also works.
         let (c, cc) = fig_circuit(true);
-        let exp = ExpandedCircuit::build(&c, cc, 1, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 1);
         let ls = zero_labels(&c);
         assert_eq!(min_weight(&exp, &ls, 10, 100, 1, 3), Some(0));
         assert!(find_cut(&exp, &ls, 10, 100, 0, 3).unwrap().signals.len() <= 3);
@@ -543,7 +559,7 @@ mod tests {
         // Height bound excluding both `a` and `b` everywhere: the only
         // cut left is {i1^1, i1^2}, which must absorb b^1 → weight 1.
         let (c, cc) = fig_circuit(true);
-        let exp = ExpandedCircuit::build(&c, cc, 1, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 1);
         let mut ls = zero_labels(&c);
         ls[c.find("a").unwrap().index()] = 1_000;
         ls[c.find("b").unwrap().index()] = 1_000;
@@ -561,9 +577,9 @@ mod tests {
         // The arena must be invisible: mixed-size queries through one
         // reused scratch agree exactly with fresh-network queries.
         let (c1, cc1) = fig_circuit(false);
-        let exp1 = ExpandedCircuit::build(&c1, cc1, 0, 1000).unwrap();
+        let exp1 = ExpandedCircuit::build(&c1, cc1, 0);
         let (c2, cc2) = fig_circuit(true);
-        let exp2 = ExpandedCircuit::build(&c2, cc2, 1, 1000).unwrap();
+        let exp2 = ExpandedCircuit::build(&c2, cc2, 1);
         let ls1 = zero_labels(&c1);
         let mut ls2 = zero_labels(&c2);
         ls2[c2.find("a").unwrap().index()] = 1_000;
@@ -589,7 +605,7 @@ mod tests {
     #[test]
     fn trivial_fanin_cut_found() {
         let (c, cc) = fig_circuit(false);
-        let exp = ExpandedCircuit::build(&c, cc, 0, 1000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 0);
         let ls = zero_labels(&c);
         // Bound that admits only the fanin cut works at K=2.
         let cut = find_cut(&exp, &ls, 1, 1, 0, 2).unwrap();
@@ -675,10 +691,7 @@ mod validity_tests {
             let hb = rng.range_i64(-2, 6);
             let wb = rng.range_i64(0, 3) as u64;
             for v in c.gate_ids().take(8) {
-                let exp = match ExpandedCircuit::build(&c, v, wb, 50_000) {
-                    Some(e) => e,
-                    None => continue,
-                };
+                let exp = ExpandedCircuit::build(&c, v, wb);
                 if let Some(cut) = find_cut(&exp, &ls, phi, hb, wb, k) {
                     assert!(cut.signals.len() <= k);
                     assert_valid_cut(&exp, &cut, &ls, phi, hb, wb);
@@ -716,10 +729,7 @@ mod validity_tests {
             let hb = rng.range_i64(-2, 6);
             let horizon = 3u64;
             for v in c.gate_ids().take(8) {
-                let exp = match ExpandedCircuit::build(&c, v, horizon, 50_000) {
-                    Some(e) => e,
-                    None => continue,
-                };
+                let exp = ExpandedCircuit::build(&c, v, horizon);
                 for cap in 0..=horizon {
                     let scan = (0..=cap)
                         .find(|&w| find_cut_with(&mut scratch, &exp, &ls, phi, hb, w, k).is_some());
@@ -864,10 +874,7 @@ mod oracle_tests {
             let k = rng.range_usize(1, 6);
             let horizon = rng.range_i64(0, 4) as u64;
             for v in roots {
-                let exp = match ExpandedCircuit::build(&c, v, horizon, 50_000) {
-                    Some(e) => e,
-                    None => continue,
-                };
+                let exp = ExpandedCircuit::build(&c, v, horizon);
                 grew += usize::from(exp.len() > prev_len);
                 shrank += usize::from(exp.len() < prev_len);
                 prev_len = exp.len();
@@ -914,10 +921,7 @@ mod oracle_tests {
             let (c, _) = circuit(&mut rng, trial);
             let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-2, 2)).collect();
             for v in c.gate_ids() {
-                let exp = match ExpandedCircuit::build(&c, v, 2, 50_000) {
-                    Some(e) => e,
-                    None => continue,
-                };
+                let exp = ExpandedCircuit::build(&c, v, 2);
                 let want = find_cut(&exp, &ls, 1, 8, 2, 5);
                 if want.is_none() {
                     continue;
@@ -938,5 +942,89 @@ mod oracle_tests {
             }
         }
         assert!(checked > 0);
+    }
+
+    /// A lazily grown ball against the whole `F_v`: on random circuits,
+    /// label vectors, Φ, heights and K in 2–6, at every weight bound up to
+    /// the root's expansion bound, the three queries agree — several
+    /// label vectors through one ball, so later queries run on what
+    /// earlier ones grew. The ball stays a subgraph of `F_v` with the same
+    /// fanin lists, and usually a strict one.
+    #[test]
+    fn lazy_ball_matches_whole_expansion() {
+        use crate::expand::Ball;
+        let sorted = |cut: Option<ExpCut>| {
+            cut.map(|c| {
+                let mut s: Vec<(NodeId, u64)> =
+                    c.signals.iter().map(|s| (s.node, s.weight)).collect();
+                s.sort_unstable();
+                s
+            })
+        };
+        let mut rng = Rng64::new(0xBA11);
+        let mut scratch = CutScratch::new();
+        let (mut found, mut none, mut partial, mut regrown_queries) = (0, 0, 0, 0);
+        for trial in 0..40 {
+            let (c, roots) = circuit(&mut rng, trial);
+            let frt = retiming::max_forward_retiming_values(&c);
+            let phi = rng.range_i64(1, 4);
+            let k = rng.range_usize(2, 7);
+            for v in roots {
+                let bound = frt[v.index()].min(5);
+                let full = ExpandedCircuit::build(&c, v, bound);
+                let mut ball = Ball::new(&c, v, bound);
+                for _ in 0..3 {
+                    let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 4)).collect();
+                    let hb = rng.range_i64(-2, 6);
+                    let before = ball.len();
+                    for wb in 0..=bound {
+                        let got = has_cut_with(&mut scratch, ball.grow(&c), &ls, phi, hb, wb, k);
+                        let want = has_cut_with(&mut scratch, &full, &ls, phi, hb, wb, k);
+                        assert_eq!(got, want, "trial {trial} root {v:?} wb {wb}");
+                        let got = find_cut_with(&mut scratch, ball.grow(&c), &ls, phi, hb, wb, k);
+                        let want = find_cut_with(&mut scratch, &full, &ls, phi, hb, wb, k);
+                        found += usize::from(want.is_some());
+                        none += usize::from(want.is_none());
+                        assert_eq!(
+                            sorted(got),
+                            sorted(want),
+                            "trial {trial} root {v:?} wb {wb}"
+                        );
+                    }
+                    let got =
+                        min_cut_weight_with(&mut scratch, ball.grow(&c), &ls, phi, hb, bound, k);
+                    let want = min_cut_weight_with(&mut scratch, &full, &ls, phi, hb, bound, k);
+                    assert_eq!(got, want, "min weight, trial {trial} root {v:?}");
+                    regrown_queries += usize::from(before > 1);
+                }
+                let (len, grown): (usize, Vec<bool>) = (
+                    ball.len(),
+                    (0..ball.len()).map(|i| ball.is_grown(i)).collect(),
+                );
+                let view = ball.grow(&c);
+                let index: std::collections::HashMap<ExpNode, usize> =
+                    full.nodes().enumerate().map(|(i, en)| (en, i)).collect();
+                for i in 0..len {
+                    let j = index[&view.node(i)];
+                    assert_eq!(view.is_leaf(i), full.is_leaf(j));
+                    if grown[i] {
+                        let mine: Vec<ExpNode> = view
+                            .fanins(i)
+                            .iter()
+                            .map(|&f| view.node(f as usize))
+                            .collect();
+                        let theirs: Vec<ExpNode> = full
+                            .fanins(j)
+                            .iter()
+                            .map(|&f| full.node(f as usize))
+                            .collect();
+                        assert_eq!(mine, theirs, "trial {trial} root {v:?} node {i}");
+                    }
+                }
+                partial += usize::from(len < full.len());
+            }
+        }
+        let cases = [found, none, partial, regrown_queries];
+        assert!(cases.iter().all(|&n| n > 0), "{cases:?}");
     }
 }

@@ -324,12 +324,13 @@ fn search_and_generate(
             circuit,
         });
     }
-    let cuts = {
-        let _l = layer::enter(Layer::Search);
-        ctx.final_cuts(&labels, phi)
-    };
     let _l = layer::enter(Layer::Generate);
-    let roots = crate::generate::collect_roots(&bounded, &cuts)?;
+    // Only the roots the FIFO instantiates get a cut.
+    let roots =
+        crate::generate::collect_roots_with(&bounded, ctx.cut_source(&labels.ls, &labels.r, phi))?;
+    // The balls have served their last query: free them before the
+    // network is built, so the two never peak together.
+    drop(ctx);
     let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
         .keys()
         .map(|&v| (v, ceil_div(labels.ls[v.index()], phi as i64) - 1))
@@ -477,25 +478,79 @@ mod tests {
     /// drivers must produce the byte-identical mapped circuit — same Φ,
     /// LUTs, FFs, initial states, names. Only the per-probe sweep counts
     /// may differ (warm starts exist to shrink them).
+    /// The bar holds as well when every ball is evicted at every level
+    /// (the baseline keeps the real budget).
     #[test]
     fn results_identical_across_workers_and_warm_start() {
+        use crate::frtcheck::test_budget;
         let c = medium_fsm();
         for (name, driver) in DRIVERS {
             let mut opts = Options::with_k(4);
             let baseline = driver(&c, opts).unwrap();
             let reference = netlist::write_blif(&baseline.circuit);
-            for (workers, warm) in [(1, false), (3, true), (3, false), (0, true)] {
-                opts.sweep_workers = workers;
-                opts.warm_start = warm;
-                let res = driver(&c, opts).unwrap();
-                let tag = format!("{name} workers={workers} warm={warm}");
-                assert_eq!(res.period, baseline.period, "{tag}");
-                assert_eq!(res.luts, baseline.luts, "{tag}");
-                assert_eq!(res.ffs, baseline.ffs, "{tag}");
-                assert_eq!(res.star(), baseline.star(), "{tag}");
-                assert_eq!(netlist::write_blif(&res.circuit), reference, "{tag}");
+            for budget in [None, Some(0)] {
+                for (workers, warm) in [(1, false), (3, true), (3, false), (0, true)] {
+                    opts.sweep_workers = workers;
+                    opts.warm_start = warm;
+                    let res = match budget {
+                        None => driver(&c, opts),
+                        Some(b) => test_budget::with(b, || driver(&c, opts)),
+                    }
+                    .unwrap();
+                    let tag = format!("{name} workers={workers} warm={warm} budget={budget:?}");
+                    assert_eq!(res.period, baseline.period, "{tag}");
+                    assert_eq!(res.luts, baseline.luts, "{tag}");
+                    assert_eq!(res.ffs, baseline.ffs, "{tag}");
+                    assert_eq!(res.star(), baseline.star(), "{tag}");
+                    assert_eq!(netlist::write_blif(&res.circuit), reference, "{tag}");
+                }
             }
         }
+    }
+
+    /// Evicting every ball at every level, or never evicting, gives the
+    /// same Φ, per-probe sweeps and byte-identical mapped BLIF under both
+    /// drivers, on FSMs that reach mapping generation.
+    #[test]
+    fn eviction_never_changes_the_mapping() {
+        use crate::frtcheck::test_budget;
+        let mut generated = 0;
+        for seed in 0..6u64 {
+            let c = workloads::generate_fsm(&workloads::FsmSpec {
+                name: format!("evm{seed}"),
+                states: 5 + seed as usize,
+                inputs: 2 + seed as usize % 3,
+                decoded: 2,
+                outputs: 2,
+                encoding: if seed % 2 == 0 {
+                    workloads::Encoding::Binary
+                } else {
+                    workloads::Encoding::OneHot
+                },
+                registered_inputs: true,
+                seed: 100 + seed,
+            });
+            for (name, driver) in DRIVERS {
+                for k in [3, 4] {
+                    let opts = Options::with_k(k);
+                    let keep = test_budget::with(usize::MAX, || driver(&c, opts)).unwrap();
+                    let churn = test_budget::with(0, || driver(&c, opts)).unwrap();
+                    let tag = format!("{name} seed={seed} k={k}");
+                    assert_eq!(keep.period, churn.period, "{tag}");
+                    assert_eq!(keep.iterations, churn.iterations, "{tag}");
+                    assert_eq!(
+                        netlist::write_blif(&keep.circuit),
+                        netlist::write_blif(&churn.circuit),
+                        "{tag}"
+                    );
+                    let upper = flowmap::flowmap_frt(&crate::prepare(&c, k).unwrap(), k)
+                        .unwrap()
+                        .period;
+                    generated += usize::from(keep.period < upper);
+                }
+            }
+        }
+        assert!(generated > 0, "no case reached mapping generation");
     }
 
     /// Warm starts must never probe *more* periods or spend more sweeps,

@@ -27,20 +27,17 @@ pub struct ExpNode {
 /// Open-addressed `(node, weight) -> expanded index` map with linear
 /// probing over a power-of-two table.
 ///
-/// Expanded-circuit construction is the single hottest allocation site of
-/// the label sweep (one build per node per bound probe), and the generic
-/// `HashMap<ExpNode, u32>` paid SipHash plus a heap box per build. This
-/// table is three flat arrays, a multiply-xorshift hash and no per-entry
-/// allocation. Lookup order never leaks into results — the map is only
-/// ever probed point-wise — so determinism is untouched.
+/// Expanded-node creation is the hottest allocation site of the label
+/// sweep, and the generic `HashMap<ExpNode, u32>` paid SipHash plus a heap
+/// box per build. This table is one flat array of expanded indices (4
+/// bytes a slot, at most half full), a multiply-xorshift hash and no
+/// per-entry allocation; keys are read back from the owner's node arrays
+/// through the `key` accessor. Lookup order never leaks into results —
+/// the map is only ever probed point-wise — so determinism is untouched.
 #[derive(Debug, Clone)]
 struct ExpIndex {
-    /// Original-node id per slot; `EMPTY_SLOT` marks free slots.
-    node: Vec<u32>,
-    /// Weight per slot (valid only when the slot is occupied).
-    weight: Vec<u32>,
-    /// Expanded index per slot (valid only when the slot is occupied).
-    idx: Vec<u32>,
+    /// Expanded index per slot; `EMPTY_SLOT` marks free slots.
+    slots: Vec<u32>,
     /// Number of occupied slots.
     len: usize,
 }
@@ -48,12 +45,10 @@ struct ExpIndex {
 const EMPTY_SLOT: u32 = u32::MAX;
 
 impl ExpIndex {
-    fn new() -> Self {
-        let size = 64;
+    /// An empty table of `size` slots (a power of two).
+    fn new(size: usize) -> Self {
         ExpIndex {
-            node: vec![EMPTY_SLOT; size],
-            weight: vec![0; size],
-            idx: vec![0; size],
+            slots: vec![EMPTY_SLOT; size],
             len: 0,
         }
     }
@@ -67,63 +62,113 @@ impl ExpIndex {
         h ^ (h >> 32)
     }
 
-    /// Slot containing `(node, weight)`, or the free slot where it would
-    /// be inserted.
+    /// The index of `(node, weight)`, after inserting it as `fresh` when
+    /// absent; the flag is true when it was inserted. `key(i)` is the
+    /// `(node, weight)` of expanded index `i`.
     #[inline]
-    fn probe(&self, node: u32, weight: u32) -> usize {
-        let mask = self.node.len() - 1;
+    fn get_or_insert(
+        &mut self,
+        node: u32,
+        weight: u32,
+        fresh: u32,
+        key: impl Fn(u32) -> (u32, u32),
+    ) -> (u32, bool) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow(&key);
+        }
+        let mask = self.slots.len() - 1;
         let mut s = Self::hash(node, weight) as usize & mask;
         loop {
-            if self.node[s] == EMPTY_SLOT || (self.node[s] == node && self.weight[s] == weight) {
-                return s;
+            let i = self.slots[s];
+            if i == EMPTY_SLOT {
+                self.slots[s] = fresh;
+                self.len += 1;
+                return (fresh, true);
+            }
+            if key(i) == (node, weight) {
+                return (i, false);
             }
             s = (s + 1) & mask;
         }
     }
 
-    #[inline]
-    fn get(&self, node: u32, weight: u32) -> Option<u32> {
-        let s = self.probe(node, weight);
-        (self.node[s] != EMPTY_SLOT).then(|| self.idx[s])
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        4 * self.slots.capacity()
     }
 
-    fn insert(&mut self, node: u32, weight: u32, idx: u32) {
-        if self.len * 2 >= self.node.len() {
-            self.grow();
-        }
-        let s = self.probe(node, weight);
-        debug_assert_eq!(self.node[s], EMPTY_SLOT);
-        self.node[s] = node;
-        self.weight[s] = weight;
-        self.idx[s] = idx;
-        self.len += 1;
-    }
-
-    fn grow(&mut self) {
-        let old_node = std::mem::take(&mut self.node);
-        let old_weight = std::mem::take(&mut self.weight);
-        let old_idx = std::mem::take(&mut self.idx);
-        let size = old_node.len() * 2;
-        self.node = vec![EMPTY_SLOT; size];
-        self.weight = vec![0; size];
-        self.idx = vec![0; size];
-        for (s, &n) in old_node.iter().enumerate() {
-            if n != EMPTY_SLOT {
-                let t = self.probe(n, old_weight[s]);
-                self.node[t] = n;
-                self.weight[t] = old_weight[s];
-                self.idx[t] = old_idx[s];
+    fn grow(&mut self, key: impl Fn(u32) -> (u32, u32)) {
+        let size = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; size]);
+        let mask = size - 1;
+        for i in old.into_iter().filter(|&i| i != EMPTY_SLOT) {
+            let (node, weight) = key(i);
+            let mut s = Self::hash(node, weight) as usize & mask;
+            while self.slots[s] != EMPTY_SLOT {
+                s = (s + 1) & mask;
             }
+            self.slots[s] = i;
         }
     }
 }
 
-/// The expanded circuit `F_v^i` of one root.
+/// An expanded circuit as the cut kernel walks it: index 0 is the root
+/// `v^0`, and a node's fanins are available once [`Expansion::grow`] has
+/// run on it. [`ExpandedCircuit`] is complete up front; a [`Grow`] view
+/// materialises a root's ball as the kernel's BFS first reads each node.
+pub trait Expansion {
+    /// Number of expanded nodes materialised so far.
+    fn len(&self) -> usize;
+    /// True when only the root exists.
+    fn is_empty(&self) -> bool {
+        self.len() <= 1
+    }
+    /// Original node id of expanded node `i`.
+    fn node_id(&self, i: usize) -> u32;
+    /// Registers between expanded node `i` and the root.
+    fn weight(&self, i: usize) -> u64;
+    /// True when node `i` is a leaf (PI, or weight above the bound).
+    fn is_leaf(&self, i: usize) -> bool;
+    /// Materialises the fanins of non-leaf `i` (a no-op when complete).
+    fn grow(&mut self, i: usize);
+    /// Expanded fanins of a grown node `i`.
+    fn fanins(&self, i: usize) -> &[u32];
+    /// Expanded node `i` as `u^w`.
+    fn node(&self, i: usize) -> ExpNode {
+        ExpNode {
+            node: NodeId(self.node_id(i)),
+            weight: self.weight(i),
+        }
+    }
+}
+
+impl<G: Expansion + ?Sized> Expansion for &mut G {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+    fn node_id(&self, i: usize) -> u32 {
+        (**self).node_id(i)
+    }
+    fn weight(&self, i: usize) -> u64 {
+        (**self).weight(i)
+    }
+    fn is_leaf(&self, i: usize) -> bool {
+        (**self).is_leaf(i)
+    }
+    fn grow(&mut self, i: usize) {
+        (**self).grow(i);
+    }
+    fn fanins(&self, i: usize) -> &[u32] {
+        (**self).fanins(i)
+    }
+}
+
+/// The expanded circuit `F_v^i` of one root, built whole.
 ///
 /// Struct-of-arrays with every vector sized exactly: 13 bytes per node
 /// (original id, weight, CSR offset, leaf flag) plus 4 per fanin slot.
-/// The FRTcheck cache holds one per live gate for a whole Φ search, so
-/// this layout is what the cache costs.
+/// Only the slack planner and tests build these; the label sweeps and
+/// mapping generation use per-root balls instead.
 #[derive(Debug, Clone)]
 pub struct ExpandedCircuit {
     /// Original node id per expanded node; the root `v^0` is index 0.
@@ -139,6 +184,13 @@ pub struct ExpandedCircuit {
     is_leaf: Vec<bool>,
     /// The weight bound `i` used during construction.
     pub bound: u64,
+}
+
+/// `weight + registers` as a stored weight. Weights are register counts
+/// along one path, so they are bounded by the circuit's FF count.
+#[inline]
+fn add_weight(weight: u32, registers: u64) -> u32 {
+    u32::try_from(u64::from(weight) + registers).expect("register count fits in u32")
 }
 
 impl ExpandedCircuit {
@@ -189,25 +241,22 @@ impl ExpandedCircuit {
         &self.fanin_pool[self.fanin_off[i] as usize..self.fanin_off[i + 1] as usize]
     }
 
-    /// Builds `F_v^bound`.
+    /// Builds `F_v^bound` whole, numbering nodes in DFS discovery order.
     ///
     /// Internal nodes satisfy `weight ≤ bound`; leaves are PIs or nodes
-    /// whose weight exceeds the bound. `max_nodes` guards against blow-up
-    /// (`None` is returned when exceeded, or when a weight overflows
-    /// `u32` — callers treat this as "no cut found at this bound", which
-    /// is conservative).
+    /// whose weight exceeds the bound.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not a gate.
-    pub fn build(c: &Circuit, v: NodeId, bound: u64, max_nodes: usize) -> Option<ExpandedCircuit> {
+    pub fn build(c: &Circuit, v: NodeId, bound: u64) -> ExpandedCircuit {
         assert!(c.node(v).is_gate(), "expanded circuits root at gates");
         let _l = engine::layer::enter_with(
             engine::Layer::Expand,
             [Some(("node", v.index() as u64)), Some(("bound", bound))],
         );
-        let mut index = ExpIndex::new();
-        index.insert(v.0, 0, 0);
+        let mut index = ExpIndex::new(64);
+        index.get_or_insert(v.0, 0, 0, |_| unreachable!("empty table"));
         let mut node: Vec<u32> = vec![v.0];
         let mut weight: Vec<u32> = vec![0];
         let mut is_leaf: Vec<bool> = vec![false];
@@ -215,6 +264,7 @@ impl ExpandedCircuit {
         // in index order once the node set is final.
         let mut slices: Vec<(u32, u32)> = vec![(0, 0)];
         let mut pool: Vec<u32> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
         // Only internal nodes are pushed, and each is popped once.
         let mut stack: Vec<u32> = vec![0];
         while let Some(xi) = stack.pop() {
@@ -223,37 +273,31 @@ impl ExpandedCircuit {
             for &e in c.node(NodeId(node[xi])).fanin() {
                 let edge = c.edge(e);
                 let child = edge.from();
-                let child_weight =
-                    u32::try_from(u64::from(weight[xi]) + edge.weight() as u64).ok()?;
-                let ci = match index.get(child.0, child_weight) {
-                    Some(ci) => {
-                        // An existing node's leaf-ness never changes: it
-                        // was classified by (node, weight) alone.
-                        engine::telemetry::count(engine::telemetry::Counter::ExpandCacheHits, 1);
-                        ci
+                let child_weight = add_weight(weight[xi], edge.weight() as u64);
+                let (ci, created) =
+                    index.get_or_insert(child.0, child_weight, node.len() as u32, |i| {
+                        (node[i as usize], weight[i as usize])
+                    });
+                if created {
+                    // A node's leaf-ness is fixed by (node, weight) alone.
+                    misses += 1;
+                    let leaf = !c.node(child).is_gate() || u64::from(child_weight) > bound;
+                    node.push(child.0);
+                    weight.push(child_weight);
+                    is_leaf.push(leaf);
+                    slices.push((0, 0));
+                    if !leaf {
+                        stack.push(ci);
                     }
-                    None => {
-                        engine::telemetry::count(engine::telemetry::Counter::ExpandCacheMisses, 1);
-                        if node.len() >= max_nodes {
-                            return None;
-                        }
-                        let ci = node.len() as u32;
-                        let leaf = !c.node(child).is_gate() || u64::from(child_weight) > bound;
-                        index.insert(child.0, child_weight, ci);
-                        node.push(child.0);
-                        weight.push(child_weight);
-                        is_leaf.push(leaf);
-                        slices.push((0, 0));
-                        if !leaf {
-                            stack.push(ci);
-                        }
-                        ci
-                    }
-                };
+                } else {
+                    hits += 1;
+                }
                 pool.push(ci);
             }
             slices[xi] = (off, pool.len() as u32 - off);
         }
+        engine::telemetry::count(engine::telemetry::Counter::ExpandCacheHits, hits);
+        engine::telemetry::count(engine::telemetry::Counter::ExpandCacheMisses, misses);
         let mut fanin_off = Vec::with_capacity(node.len() + 1);
         let mut fanin_pool = Vec::with_capacity(pool.len());
         fanin_off.push(0);
@@ -264,14 +308,214 @@ impl ExpandedCircuit {
         node.shrink_to_fit();
         weight.shrink_to_fit();
         is_leaf.shrink_to_fit();
-        Some(ExpandedCircuit {
+        ExpandedCircuit {
             node,
             weight,
             fanin_off,
             fanin_pool,
             is_leaf,
             bound,
-        })
+        }
+    }
+}
+
+impl Expansion for &ExpandedCircuit {
+    fn len(&self) -> usize {
+        self.node.len()
+    }
+    #[inline]
+    fn node_id(&self, i: usize) -> u32 {
+        self.node[i]
+    }
+    #[inline]
+    fn weight(&self, i: usize) -> u64 {
+        u64::from(self.weight[i])
+    }
+    #[inline]
+    fn is_leaf(&self, i: usize) -> bool {
+        self.is_leaf[i]
+    }
+    #[inline]
+    fn grow(&mut self, _i: usize) {}
+    #[inline]
+    fn fanins(&self, i: usize) -> &[u32] {
+        ExpandedCircuit::fanins(self, i)
+    }
+}
+
+/// `fanin_at` of an internal node whose fanins are not materialised yet.
+const UNGROWN: u32 = u32::MAX;
+
+/// `fanin_at` of a leaf (PI, or weight above the bound): never grown.
+const LEAF: u32 = u32::MAX - 1;
+
+/// One expanded node of a [`Ball`]: everything the kernel reads per
+/// visit, so a walk never touches the circuit's node records.
+#[derive(Debug, Clone, Copy)]
+struct BallNode {
+    /// The original node.
+    node: u32,
+    /// Registers between the node and the root.
+    weight: u32,
+    /// Start of the node's fanins in the ball's pool, [`UNGROWN`] or
+    /// [`LEAF`].
+    fanin_at: u32,
+    /// The original node's fanin count.
+    fanin_len: u32,
+}
+
+impl BallNode {
+    /// Expanded node `node^weight` of a ball with weight bound `bound`.
+    fn new(c: &Circuit, node: u32, weight: u32, bound: u64) -> BallNode {
+        let n = c.node(NodeId(node));
+        let leaf = !n.is_gate() || u64::from(weight) > bound;
+        BallNode {
+            node,
+            weight,
+            fanin_at: if leaf { LEAF } else { UNGROWN },
+            fanin_len: n.fanin().len() as u32,
+        }
+    }
+}
+
+/// One root's grow-only ball: the part of `F_v^bound` that its cut
+/// queries have walked into so far.
+///
+/// A node gets an index when it is first seen as a fanin, and its own
+/// fanin list the first time a query's BFS enters it ([`Grow`]). The
+/// node set and every fanin list match `F_v^bound` exactly; only the
+/// numbering differs (discovery order across queries), and no cut
+/// answer depends on it. About 16 bytes per node, 4 per fanin slot and
+/// 8–16 of index.
+#[derive(Debug, Clone)]
+pub(crate) struct Ball {
+    nodes: Vec<BallNode>,
+    pool: Vec<u32>,
+    index: ExpIndex,
+    bound: u64,
+    /// `nodes[..reported]` have been handed to the owner.
+    reported: usize,
+    /// Bytes already added to the owner's budget total.
+    pub(crate) accounted: usize,
+    /// Owner tick of the last query (eviction order).
+    pub(crate) last_used: u64,
+}
+
+impl Ball {
+    /// The ball of gate `v` of `c` holding only the root `v^0`.
+    pub(crate) fn new(c: &Circuit, v: NodeId, bound: u64) -> Ball {
+        let mut index = ExpIndex::new(16);
+        index.get_or_insert(v.0, 0, 0, |_| unreachable!("empty table"));
+        Ball {
+            nodes: vec![BallNode::new(c, v.0, 0, bound)],
+            pool: Vec::new(),
+            index,
+            bound,
+            reported: 1,
+            accounted: 0,
+            last_used: 0,
+        }
+    }
+
+    /// The view the cut kernel walks, growing from circuit `c`.
+    pub(crate) fn grow<'a>(&'a mut self, c: &'a Circuit) -> Grow<'a> {
+        Grow { ball: self, c }
+    }
+
+    /// Number of expanded nodes materialised.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True when node `i`'s fanins are materialised.
+    #[cfg(test)]
+    pub(crate) fn is_grown(&self, i: usize) -> bool {
+        !matches!(self.nodes[i].fanin_at, UNGROWN | LEAF)
+    }
+
+    /// Heap bytes held, by capacity.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Ball>()
+            + std::mem::size_of::<BallNode>() * self.nodes.capacity()
+            + 4 * self.pool.capacity()
+            + self.index.bytes()
+    }
+
+    /// The original node of every expanded node created since the last
+    /// call (a node reached at two weights comes twice; never the root).
+    pub(crate) fn take_new(&mut self) -> impl Iterator<Item = u32> + '_ {
+        let from = std::mem::replace(&mut self.reported, self.nodes.len());
+        self.nodes[from..].iter().map(|n| n.node)
+    }
+
+    /// Materialises node `i`'s fanins, creating the expanded nodes first
+    /// seen here.
+    fn grow_node(&mut self, c: &Circuit, i: usize) {
+        let BallNode { node, weight, .. } = self.nodes[i];
+        self.nodes[i].fanin_at = self.pool.len() as u32;
+        let before = self.nodes.len();
+        let fanin = c.node(NodeId(node)).fanin();
+        for &e in fanin {
+            let edge = c.edge(e);
+            let child = edge.from().0;
+            let cw = add_weight(weight, edge.weight() as u64);
+            let nodes = &self.nodes;
+            let (ci, created) = self
+                .index
+                .get_or_insert(child, cw, nodes.len() as u32, |i| {
+                    let n = nodes[i as usize];
+                    (n.node, n.weight)
+                });
+            if created {
+                self.nodes.push(BallNode::new(c, child, cw, self.bound));
+            }
+            self.pool.push(ci);
+        }
+        let misses = (self.nodes.len() - before) as u64;
+        engine::telemetry::count(
+            engine::telemetry::Counter::ExpandCacheHits,
+            fanin.len() as u64 - misses,
+        );
+        engine::telemetry::count(engine::telemetry::Counter::ExpandCacheMisses, misses);
+    }
+}
+
+/// One root's ball as the cut kernel walks it: each internal node grows
+/// its fanins on first entry.
+pub struct Grow<'a> {
+    ball: &'a mut Ball,
+    c: &'a Circuit,
+}
+
+impl Expansion for Grow<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ball.nodes.len()
+    }
+    #[inline]
+    fn node_id(&self, i: usize) -> u32 {
+        self.ball.nodes[i].node
+    }
+    #[inline]
+    fn weight(&self, i: usize) -> u64 {
+        u64::from(self.ball.nodes[i].weight)
+    }
+    #[inline]
+    fn is_leaf(&self, i: usize) -> bool {
+        self.ball.nodes[i].fanin_at == LEAF
+    }
+    #[inline]
+    fn grow(&mut self, i: usize) {
+        if self.ball.nodes[i].fanin_at == UNGROWN {
+            self.ball.grow_node(self.c, i);
+        }
+    }
+    #[inline]
+    fn fanins(&self, i: usize) -> &[u32] {
+        let n = self.ball.nodes[i];
+        let at = n.fanin_at as usize;
+        &self.ball.pool[at..at + n.fanin_len as usize]
     }
 }
 
@@ -303,7 +547,7 @@ mod tests {
     fn weights_accumulate() {
         let c = fig3_circuit();
         let cc = c.find("c").unwrap();
-        let exp = ExpandedCircuit::build(&c, cc, 2, 10_000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 2);
         // Expect c^0, b^1, a^1 (through b), a^0 (direct), i's at both
         // weights.
         let find = |name: &str, w: u64| {
@@ -322,7 +566,7 @@ mod tests {
     fn bound_zero_cuts_registers() {
         let c = fig3_circuit();
         let cc = c.find("c").unwrap();
-        let exp = ExpandedCircuit::build(&c, cc, 0, 10_000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 0);
         // b^1 exceeds the bound: leaf; a^1/i^1 never created below it.
         let b = c.find("b").unwrap();
         let bi = exp
@@ -351,7 +595,7 @@ mod tests {
         c.connect(p, m, vec![]).unwrap();
         c.connect(q, m, vec![]).unwrap();
         c.connect(m, o, vec![]).unwrap();
-        let exp = ExpandedCircuit::build(&c, m, 4, 10_000).unwrap();
+        let exp = ExpandedCircuit::build(&c, m, 4);
         let u_nodes = exp.nodes().filter(|en| en.node == u).count();
         assert_eq!(u_nodes, 1);
     }
@@ -366,7 +610,7 @@ mod tests {
         c.connect(i, g, vec![]).unwrap();
         c.connect(g, g, vec![Bit::Zero]).unwrap();
         c.connect(g, o, vec![]).unwrap();
-        let exp = ExpandedCircuit::build(&c, g, 3, 10_000).unwrap();
+        let exp = ExpandedCircuit::build(&c, g, 3);
         let g_weights: Vec<u64> = exp
             .nodes()
             .filter(|en| en.node == g)
@@ -377,18 +621,11 @@ mod tests {
     }
 
     #[test]
-    fn node_cap_returns_none() {
-        let c = fig3_circuit();
-        let cc = c.find("c").unwrap();
-        assert!(ExpandedCircuit::build(&c, cc, 2, 3).is_none());
-    }
-
-    #[test]
     fn every_root_path_has_exactly_w_registers() {
         // Property from the paper: check by enumeration on fig3.
         let c = fig3_circuit();
         let cc = c.find("c").unwrap();
-        let exp = ExpandedCircuit::build(&c, cc, 3, 10_000).unwrap();
+        let exp = ExpandedCircuit::build(&c, cc, 3);
         // DFS all paths from each node to the root, counting weights via
         // the weight difference: child.weight - parent.weight is the edge
         // register count, so path weight = node.weight - root.weight.

@@ -56,20 +56,39 @@
 //! Both are monotone ascents to a least fixpoint whose labels grow as Φ
 //! shrinks, so level-synchronized sweeps, warm starts and the parallel
 //! board serve both unchanged.
+//!
+//! # Demand-driven balls and exact dependencies
+//!
+//! No gate's `F_v` is built up front. Each gate owns a grow-only *ball*:
+//! the part of `F_v^{bound}` its cut queries have walked into, grown by
+//! the kernel's BFS as it first enters a node (see [`crate::expand`]).
+//! Balls live for the whole Φ search under one context-wide byte budget.
+//! When a level's apply phase leaves the live balls over budget, the
+//! least recently queried ones (node id breaking ties) are dropped until
+//! half the budget remains; a dropped ball regrows on its next query.
+//! Growth happens only inside a query and eviction only between levels,
+//! so no live query is ever cut short, and ball sizes — hence eviction
+//! order — are the same for every worker count.
+//!
+//! A query reads only the labels of nodes in its root's ball. After each
+//! level the owner folds every new member of a ball into a grow-only
+//! reverse index (node → gates whose balls have contained it), and a
+//! label change requeues its fanouts plus the gates that index lists.
+//! Eviction never shrinks the index, so it stays a superset of what any
+//! query has read: a gate left off the queue would have computed the same
+//! pair again. Labels, sweep counts and every answer are therefore those
+//! of the whole-cone formulation; only requeues and cut queries drop.
 
 use crate::cutsearch::{find_cut_with, has_cut_with, min_cut_weight_with, CutScratch, ExpCut};
-use crate::expand::ExpandedCircuit;
+use crate::expand::{Ball, Grow};
 use crate::sweep::{Board, StopOnDrop};
 use crate::witness::{WitnessOutcome, WitnessStep};
 use netlist::{Circuit, NodeId};
-use std::cell::Cell;
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 
-/// Practical ceiling on expanded-circuit size; `F_v^i` beyond this is
-/// treated as cut-less at that bound (conservative; never triggered by the
-/// benchmark suite — see DESIGN.md). Gates that hit it are counted in the
-/// `expand_capped` telemetry counter and reported by a warning.
-pub const MAX_EXPANDED_NODES: usize = 500_000;
+/// Bytes the live balls of one context may hold before the owner evicts
+/// (see the module docs).
+const BALL_BUDGET_BYTES: usize = 64 << 20;
 
 /// Sentinel for `−∞` labels.
 pub const LS_NEG_INF: i64 = i64::MIN / 4;
@@ -131,20 +150,80 @@ pub struct FrtContext<'a> {
     /// Gates whose true `frt(v)` exceeded the cap, so their expanded
     /// circuits are truncated and the mapping may be pessimal for them.
     pub frt_capped_gates: u64,
-    /// Expanded circuit per gate, at [`FrtContext::bound`].
-    expanded: Vec<Option<ExpandedCircuit>>,
+    /// Each gate's ball at [`FrtContext::bound`], once queried. A level's
+    /// tasks are distinct gates, so each lock is taken by one thread at a
+    /// time.
+    balls: Vec<Mutex<Option<Box<Ball>>>>,
+    /// Reverse index, budget total and eviction state; locked by the
+    /// thread running a check for its whole duration.
+    owner: Mutex<Owner>,
+    /// Byte budget of the live balls.
+    budget: usize,
     /// Topological levels over zero-weight edges: level `d` lists the
     /// swept (non-PI, and under the general rule live) nodes at
     /// combinational depth `d`, in topological order.
     /// Within a level no zero-weight edge connects two members, which is
     /// what makes the per-level fan-out safe and effective.
     levels: Levels,
-    /// Inverted cone index as a CSR graph: the out-row of node `x` lists
-    /// the gates whose expanded circuits contain `x` (whose labels
-    /// therefore depend on `x`'s label through the cut heights).
-    influenced: graphalgo::Csr,
     k: usize,
     rule: Rule,
+}
+
+/// The owner's side of the balls: touched between levels only.
+#[derive(Debug, Default)]
+struct Owner {
+    /// Reverse index: `deps[x]` lists, ascending, the gates whose balls
+    /// have contained `x` (whose labels depend on `x`'s through their cut
+    /// heights). Sorted, so a regrown ball adds no entry twice.
+    deps: Vec<Vec<u32>>,
+    /// Bytes accounted to live balls.
+    bytes: usize,
+    /// Gates with a live ball.
+    live: Vec<u32>,
+    /// Level counter; a ball's `last_used` is the tick of its last query.
+    tick: u64,
+}
+
+impl Owner {
+    /// The gates whose balls have contained node `x`.
+    fn dependants(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        self.deps[x].iter().map(|&g| g as usize)
+    }
+}
+
+/// The budget a context is built with. Tests may lower it (to evict
+/// every ball at every level) on their own thread.
+#[cfg(not(test))]
+fn ball_budget() -> usize {
+    BALL_BUDGET_BYTES
+}
+
+#[cfg(test)]
+fn ball_budget() -> usize {
+    test_budget::get().unwrap_or(BALL_BUDGET_BYTES)
+}
+
+/// Test-only override of the ball budget for contexts built on the
+/// current thread.
+#[cfg(test)]
+pub(crate) mod test_budget {
+    use std::cell::Cell;
+
+    thread_local! {
+        static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    pub(super) fn get() -> Option<usize> {
+        BUDGET.with(Cell::get)
+    }
+
+    /// Runs `f` with contexts it builds on this thread using `bytes`.
+    pub(crate) fn with<R>(bytes: usize, f: impl FnOnce() -> R) -> R {
+        let prev = BUDGET.with(|b| b.replace(Some(bytes)));
+        let out = f();
+        BUDGET.with(|b| b.set(prev));
+        out
+    }
 }
 
 /// Topological levels in flat form: the nodes of level `d` are
@@ -180,9 +259,10 @@ impl Levels {
 }
 
 impl<'a> FrtContext<'a> {
-    /// Builds the context: `frt` values (Lemma 1, Dijkstra) and expanded
-    /// circuits `F_v^{frt(v)}` for every gate — built **once** per run and
-    /// shared read-only by every Φ probe of the binary search.
+    /// Builds the context: `frt` values (Lemma 1, Dijkstra) and the
+    /// topological levels. Expanded circuits `F_v^{frt(v)}` are grown on
+    /// demand by the cut queries, as balls shared by every Φ probe of the
+    /// binary search.
     ///
     /// `frt_cap` bounds the forward-retiming horizon (Definition 3 allows
     /// arbitrarily large values on register-heavy inputs; the cap trades
@@ -196,16 +276,6 @@ impl<'a> FrtContext<'a> {
     ///
     /// Panics on combinational cycles (validate first).
     pub fn new(circuit: &'a Circuit, k: usize, frt_cap: u64) -> FrtContext<'a> {
-        FrtContext::new_capped(circuit, k, frt_cap, MAX_EXPANDED_NODES)
-    }
-
-    /// [`FrtContext::new`] with an explicit expanded-circuit size cap.
-    pub(crate) fn new_capped(
-        circuit: &'a Circuit,
-        k: usize,
-        frt_cap: u64,
-        max_nodes: usize,
-    ) -> FrtContext<'a> {
         let raw_frt = retiming::max_forward_retiming_values(circuit);
         let mut frt_capped_gates = 0u64;
         for v in circuit.gate_ids() {
@@ -225,7 +295,7 @@ impl<'a> FrtContext<'a> {
             );
         }
         let frt: Vec<u64> = raw_frt.into_iter().map(|f| f.min(frt_cap)).collect();
-        FrtContext::build(circuit, k, frt, frt_capped_gates, Rule::Frt, max_nodes)
+        FrtContext::build(circuit, k, frt, frt_capped_gates, Rule::Frt)
     }
 
     /// The context of the general-retiming label check: every gate that
@@ -236,27 +306,17 @@ impl<'a> FrtContext<'a> {
     ///
     /// Panics on combinational cycles.
     pub(crate) fn general(circuit: &'a Circuit, k: usize, horizon: u64) -> FrtContext<'a> {
-        FrtContext::build(
-            circuit,
-            k,
-            Vec::new(),
-            0,
-            Rule::General { horizon },
-            MAX_EXPANDED_NODES,
-        )
+        FrtContext::build(circuit, k, Vec::new(), 0, Rule::General { horizon })
     }
 
-    /// The shared builder: topological levels, the probe-invariant
-    /// expansion cache at each gate's [`FrtContext::bound`] (expanded
-    /// circuits above `max_nodes` are dropped, counted and reported), and
-    /// the inverted cone index.
+    /// The shared builder: topological levels, the growth source, and
+    /// empty balls and reverse index.
     fn build(
         circuit: &'a Circuit,
         k: usize,
         frt: Vec<u64>,
         frt_capped_gates: u64,
         rule: Rule,
-        max_nodes: usize,
     ) -> FrtContext<'a> {
         let order = circuit
             .comb_topo_order()
@@ -267,54 +327,21 @@ impl<'a> FrtContext<'a> {
         };
         let is_live = |v: NodeId| live.as_ref().is_none_or(|l| l[v.index()]);
         let levels = comb_levels(circuit, &order, is_live);
-        let mut ctx = FrtContext {
+        let n = circuit.num_nodes();
+        FrtContext {
             circuit,
             frt,
             frt_capped_gates,
-            expanded: vec![None; circuit.num_nodes()],
+            balls: (0..n).map(|_| Mutex::new(None)).collect(),
+            owner: Mutex::new(Owner {
+                deps: vec![Vec::new(); n],
+                ..Owner::default()
+            }),
+            budget: ball_budget(),
             levels,
-            influenced: graphalgo::Csr::default(),
             k,
             rule,
-        };
-        let mut capped = 0u64;
-        for v in circuit.gate_ids().filter(|&v| is_live(v)) {
-            ctx.expanded[v.index()] = ExpandedCircuit::build(circuit, v, ctx.bound(v), max_nodes);
-            capped += u64::from(ctx.expanded[v.index()].is_none());
         }
-        if capped > 0 {
-            engine::telemetry::count(engine::telemetry::Counter::ExpandCapped, capped);
-            engine::log::warn(
-                "turbomap::frtcheck",
-                "expanded circuits hit the size cap; label updates on these gates find no cut",
-                &[
-                    ("gates", engine::JsonValue::UInt(capped)),
-                    ("max_nodes", engine::JsonValue::UInt(max_nodes as u64)),
-                ],
-            );
-        }
-        // (node, dependent gate) pairs, counting-sorted into a CSR row per
-        // node in two passes over the cache, never stored as a list. The
-        // stamps keep one pair per (node, gate): gate ids are dense, so
-        // `v + 1` is a unique generation tag.
-        let n = circuit.num_nodes();
-        let stamp = vec![Cell::new(0u32); n];
-        let stamp = &stamp;
-        ctx.influenced = graphalgo::Csr::from_edge_fn(n, || {
-            stamp.iter().for_each(|s| s.set(0));
-            ctx.expanded
-                .iter()
-                .enumerate()
-                .filter_map(|(v, exp)| Some((v, exp.as_ref()?)))
-                .flat_map(move |(v, exp)| {
-                    let tag = v as u32 + 1;
-                    exp.nodes().filter_map(move |en| {
-                        let x = en.node.index();
-                        (stamp[x].replace(tag) != tag).then_some((x, v))
-                    })
-                })
-        });
-        ctx
     }
 
     /// The expansion bound of gate `v`, which is also the cut-weight
@@ -326,9 +353,69 @@ impl<'a> FrtContext<'a> {
         }
     }
 
-    /// The expanded circuit of a gate (None when the size cap was hit).
-    pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        self.expanded[v.index()].as_ref()
+    /// Runs `query` on gate `v`'s ball, creating it (root only) when the
+    /// gate has none.
+    fn with_ball<R>(&self, v: NodeId, query: impl FnOnce(Grow<'_>) -> R) -> R {
+        let mut slot = self.balls[v.index()].lock().expect("ball poisoned");
+        let ball = slot.get_or_insert_with(|| Box::new(Ball::new(self.circuit, v, self.bound(v))));
+        query(ball.grow(self.circuit))
+    }
+
+    /// Folds the balls of `gates`, just queried, into the owner's state:
+    /// new members into the reverse index (in task order), growth into
+    /// the byte total, and this tick as their last use.
+    fn absorb(&self, own: &mut Owner, gates: &[u32]) {
+        own.tick += 1;
+        for &v in gates {
+            let mut slot = self.balls[v as usize].lock().expect("ball poisoned");
+            let Some(ball) = slot.as_mut() else { continue };
+            if ball.accounted == 0 {
+                own.live.push(v);
+            }
+            for x in ball.take_new() {
+                let list = &mut own.deps[x as usize];
+                if let Err(at) = list.binary_search(&v) {
+                    list.insert(at, v);
+                }
+            }
+            let now = ball.bytes();
+            own.bytes += now - ball.accounted;
+            ball.accounted = now;
+            ball.last_used = own.tick;
+        }
+    }
+
+    /// Gates holding a live ball.
+    #[cfg(test)]
+    fn live_balls(&self) -> usize {
+        self.owner.lock().expect("owner poisoned").live.len()
+    }
+
+    /// Drops least recently queried balls (node id breaking ties) until
+    /// half the budget remains, once the live balls exceed it. Runs
+    /// between levels only, so no query is in flight.
+    fn evict(&self, own: &mut Owner) {
+        if own.bytes <= self.budget {
+            return;
+        }
+        let ball = |v: u32| self.balls[v as usize].lock().expect("ball poisoned");
+        let mut order: Vec<(u64, u32)> = own
+            .live
+            .iter()
+            .map(|&v| (ball(v).as_ref().map_or(0, |b| b.last_used), v))
+            .collect();
+        order.sort_unstable();
+        let mut dropped = 0;
+        for &(_, v) in &order {
+            if own.bytes <= self.budget / 2 {
+                break;
+            }
+            let gone = ball(v).take().expect("live gates have balls");
+            own.bytes -= gone.accounted;
+            dropped += 1;
+        }
+        own.live = order[dropped..].iter().map(|&(_, v)| v).collect();
+        engine::trace::event1("balls_evicted", "balls", dropped as u64);
     }
 
     /// The LUT input bound `K` the context was built for.
@@ -387,7 +474,7 @@ impl<'a> FrtContext<'a> {
         }
         let labels = RwLock::new(init);
         let board: Board<Option<(i64, u64)>> = Board::new();
-        let (end, iterations, cache_hits) = engine::pool::scoped_workers(
+        let (end, iterations, updates) = engine::pool::scoped_workers(
             helpers,
             |_| {
                 let mut scratch = CutScratch::new();
@@ -405,7 +492,7 @@ impl<'a> FrtContext<'a> {
         if !matches!(end, SweepEnd::Cancelled) {
             // Per-probe reuse metrics (cancelled runs record nothing).
             engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
-            engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cache_hits);
+            engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, updates);
         }
         let feasible = matches!(end, SweepEnd::Converged)
             && match self.rule {
@@ -427,8 +514,8 @@ impl<'a> FrtContext<'a> {
     }
 
     /// The dirty-driven sweep loop: owner side of the two-phase scheme.
-    /// Returns the end state, the sweep count, and the number of cut
-    /// queries answered from the probe-invariant expansion cache.
+    /// Returns the end state, the sweep count, and the number of gate
+    /// label updates scheduled (each one cut query on its ball).
     fn sweep_loop(
         &self,
         phi_i: i64,
@@ -440,7 +527,8 @@ impl<'a> FrtContext<'a> {
         let n = c.num_nodes();
         let cap = n.saturating_mul(n).max(4);
         let mut iterations = 0usize;
-        let mut cache_hits = 0u64;
+        let mut updates = 0u64;
+        let mut own = self.owner.lock().expect("owner poisoned");
         // Dirty-driven sweeps: a node needs re-evaluation only when some
         // fanin label changed since its last update (the practical
         // speed-up behind the paper's "5–15 iterations per Φ").
@@ -456,7 +544,7 @@ impl<'a> FrtContext<'a> {
             // short-circuit per task, so a tripped token also drains an
             // in-flight parallel level at full speed.)
             if engine::cancel::cancelled() {
-                return (SweepEnd::Cancelled, iterations, cache_hits);
+                return (SweepEnd::Cancelled, iterations, updates);
             }
             iterations += 1;
             engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
@@ -478,9 +566,9 @@ impl<'a> FrtContext<'a> {
                 if tasks.is_empty() {
                     continue;
                 }
-                cache_hits += tasks
+                updates += tasks
                     .iter()
-                    .filter(|&&vi| self.expanded[vi as usize].is_some())
+                    .filter(|&&vi| c.node(NodeId(vi)).is_gate())
                     .count() as u64;
                 // Phase 2: compute every update against the frozen labels.
                 // The batch-size histogram keys off the level size alone,
@@ -504,8 +592,10 @@ impl<'a> FrtContext<'a> {
                         .map(|&t| self.compute_node(&guard.ls, NodeId(t), phi_i, &mut scratch))
                         .collect()
                 };
-                // Phase 3: apply in task order (what a serial sweep would
+                // Phase 3: fold the grown balls into the reverse index,
+                // then apply in task order (what a serial sweep would
                 // have done), re-marking dependents.
+                self.absorb(&mut own, &tasks);
                 let mut w = labels.write().expect("labels poisoned");
                 for (slot, res) in results.into_iter().enumerate() {
                     let (new_ls, new_r) = match res {
@@ -518,12 +608,11 @@ impl<'a> FrtContext<'a> {
                         w.r[i] = new_r;
                         changed = true;
                         // Direct fanouts see the change through ℒ^s; gates
-                        // whose expanded circuits contain the node see it
-                        // through their cut heights.
+                        // whose balls contain the node see it through
+                        // their cut heights.
                         let node = c.node(NodeId(i as u32));
                         let fanouts = node.fanout().iter().map(|&e| c.edge(e).to().index());
-                        let cones = self.influenced.out(i).iter().map(|&g| g as usize);
-                        for t in fanouts.chain(cones) {
+                        for t in fanouts.chain(own.dependants(i)) {
                             if !dirty[t] {
                                 dirty[t] = true;
                                 engine::telemetry::count(
@@ -540,16 +629,21 @@ impl<'a> FrtContext<'a> {
                             Rule::General { .. } => new_ls > phi_i && node.is_output(),
                         };
                         if refuted {
-                            return (SweepEnd::Infeasible, iterations, cache_hits);
+                            // Leave the balls within budget for the next
+                            // probe, as a completed level would.
+                            self.evict(&mut own);
+                            return (SweepEnd::Infeasible, iterations, updates);
                         }
                     }
                 }
+                drop(w);
+                self.evict(&mut own);
             }
             if !changed {
-                return (SweepEnd::Converged, iterations, cache_hits);
+                return (SweepEnd::Converged, iterations, updates);
             }
             if iterations >= cap {
-                return (SweepEnd::Infeasible, iterations, cache_hits);
+                return (SweepEnd::Infeasible, iterations, updates);
             }
         }
     }
@@ -599,10 +693,6 @@ impl<'a> FrtContext<'a> {
             return None;
         }
         let bumped = Some((script + 1, 0));
-        let exp = match self.expanded(v) {
-            Some(exp) => exp,
-            None => return bumped, // conservative on cap
-        };
         match self.rule {
             Rule::Frt => {
                 if script > phi {
@@ -614,13 +704,18 @@ impl<'a> FrtContext<'a> {
                 } else {
                     frt_v
                 };
-                match min_cut_weight_with(scratch, exp, ls, phi, script, cap, self.k) {
+                let w_min = self.with_ball(v, |ball| {
+                    min_cut_weight_with(scratch, ball, ls, phi, script, cap, self.k)
+                });
+                match w_min {
                     Some(w_min) => Some((script, w_min)),
                     None => bumped,
                 }
             }
             Rule::General { horizon } => {
-                if has_cut_with(scratch, exp, ls, phi, script, horizon, self.k) {
+                if self.with_ball(v, |ball| {
+                    has_cut_with(scratch, ball, ls, phi, script, horizon, self.k)
+                }) {
                     Some((script, 0))
                 } else {
                     bumped
@@ -640,27 +735,51 @@ impl<'a> FrtContext<'a> {
         self.cuts(&labels.ls, &labels.r, phi)
     }
 
-    /// [`FrtContext::final_cuts`] on bare label arrays. The cone-weight
-    /// bound is `r(v)` under FRT and the horizon under the general rule
-    /// (which leaves `r` unread, so it may be empty).
+    /// [`FrtContext::final_cuts`] on bare label arrays.
     pub(crate) fn cuts(&self, ls: &[i64], r: &[u64], phi: u64) -> Vec<Option<ExpCut>> {
-        let mut cuts: Vec<Option<ExpCut>> = vec![None; self.circuit.num_nodes()];
+        let c = self.circuit;
+        let mut cut_of = self.cut_source(ls, r, phi);
+        c.node_ids()
+            .map(|v| if c.node(v).is_gate() { cut_of(v) } else { None })
+            .collect()
+    }
+
+    /// The final cut of a gate on demand, for mapping generation to ask
+    /// only of the roots it instantiates: `None` for a gate no label
+    /// reached. The cut is the unique near-sink min cut with height ≤
+    /// `l^s(v)` and cone weight ≤ `r(v)` (the horizon under the general
+    /// rule, which leaves `r` unread, so it may be empty), found on the
+    /// gate's ball; its signals follow the ball's numbering. Holds the
+    /// owner's lock while alive.
+    ///
+    /// # Panics
+    ///
+    /// The returned closure panics if a cut cannot be re-derived (would
+    /// contradict convergence).
+    pub(crate) fn cut_source<'s>(
+        &'s self,
+        ls: &'s [i64],
+        r: &'s [u64],
+        phi: u64,
+    ) -> impl FnMut(NodeId) -> Option<ExpCut> + 's {
+        let mut own = self.owner.lock().expect("owner poisoned");
         let mut scratch = CutScratch::new();
-        for v in self.circuit.gate_ids() {
+        move |v| {
             let i = v.index();
             if ls[i] <= LS_NEG_INF {
-                continue;
+                return None;
             }
             let weight = match self.rule {
                 Rule::Frt => r[i],
                 Rule::General { horizon } => horizon,
             };
-            let exp = self.expanded(v).expect("expanded circuit exists");
-            let cut = find_cut_with(&mut scratch, exp, ls, phi as i64, ls[i], weight, self.k)
-                .expect("converged labels admit a cut");
-            cuts[i] = Some(cut);
+            let cut = self.with_ball(v, |ball| {
+                find_cut_with(&mut scratch, ball, ls, phi as i64, ls[i], weight, self.k)
+            });
+            self.absorb(&mut own, &[v.0]);
+            self.evict(&mut own);
+            Some(cut.expect("converged labels admit a cut"))
         }
-        cuts
     }
 
     /// Re-runs the probe at `phi` serially, recording every label
@@ -695,6 +814,7 @@ impl<'a> FrtContext<'a> {
         }
         let mut dirty = vec![true; n];
         let mut scratch = CutScratch::new();
+        let mut own = self.owner.lock().expect("owner poisoned");
         let mut steps: Vec<WitnessStep> = Vec::new();
         let mut sweeps = 0usize;
         loop {
@@ -740,21 +860,21 @@ impl<'a> FrtContext<'a> {
                             },
                         )
                     } else {
-                        let exp = match self.expanded(v) {
-                            Some(exp) => exp,
-                            None => return WitnessOutcome::Capped,
-                        };
                         // R3 needs the exact w_min, so no Corollary-1 cap.
                         let frt_v = self.frt[v.index()];
-                        match min_cut_weight_with(
-                            &mut scratch,
-                            exp,
-                            &ls,
-                            phi_i,
-                            script,
-                            frt_v,
-                            self.k,
-                        ) {
+                        let w_min = self.with_ball(v, |ball| {
+                            min_cut_weight_with(
+                                &mut scratch,
+                                ball,
+                                &ls,
+                                phi_i,
+                                script,
+                                frt_v,
+                                self.k,
+                            )
+                        });
+                        self.absorb(&mut own, &[vi]);
+                        match w_min {
                             None => (
                                 script + 1,
                                 WitnessStep::NoCut {
@@ -798,11 +918,12 @@ impl<'a> FrtContext<'a> {
                         for &e in c.node(v).fanout() {
                             dirty[c.edge(e).to().index()] = true;
                         }
-                        for &g in self.influenced.out(i) {
-                            dirty[g as usize] = true;
+                        for g in own.dependants(i) {
+                            dirty[g] = true;
                         }
                     }
                 }
+                self.evict(&mut own);
             }
             if !changed {
                 return WitnessOutcome::Feasible;
@@ -860,6 +981,7 @@ pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId], keep: impl Fn(NodeId) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expand::ExpandedCircuit;
     use netlist::{Bit, TruthTable};
 
     /// Figure 2(a) of the paper (our reconstruction): a 2-gate chain from
@@ -1057,22 +1179,111 @@ mod tests {
         }
     }
 
+    /// Under the real budget and under one that evicts every ball at
+    /// every level.
     #[test]
     fn parallel_check_matches_serial_exactly() {
         let c = chainy();
-        for k in 1..=3 {
-            let ctx = FrtContext::new(&c, k, 32);
-            for phi in 1..=4u64 {
-                let serial = ctx.check_opts(phi, None, 1);
-                for workers in [2usize, 4] {
-                    let par = ctx.check_opts(phi, None, workers);
-                    assert_eq!(serial.feasible, par.feasible, "k={k} phi={phi}");
-                    assert_eq!(serial.iterations, par.iterations, "k={k} phi={phi}");
-                    assert_eq!(serial.labels.ls, par.labels.ls, "k={k} phi={phi}");
-                    assert_eq!(serial.labels.r, par.labels.r, "k={k} phi={phi}");
+        for budget in [BALL_BUDGET_BYTES, 0] {
+            test_budget::with(budget, || {
+                for k in 1..=3 {
+                    let ctx = FrtContext::new(&c, k, 32);
+                    for phi in 1..=4u64 {
+                        let serial = ctx.check_opts(phi, None, 1);
+                        for workers in [2usize, 4] {
+                            let par = ctx.check_opts(phi, None, workers);
+                            let tag = format!("k={k} phi={phi} budget={budget}");
+                            assert_eq!(serial.feasible, par.feasible, "{tag}");
+                            assert_eq!(serial.iterations, par.iterations, "{tag}");
+                            assert_eq!(serial.labels.ls, par.labels.ls, "{tag}");
+                            assert_eq!(serial.labels.r, par.labels.r, "{tag}");
+                        }
+                    }
                 }
+            });
+        }
+    }
+
+    /// Random FSMs, K 3–5, every Φ up to the FlowMap-frt bound: a context
+    /// that evicts every ball at every level answers exactly like one
+    /// that never evicts — verdicts, labels, sweeps, work counters, final
+    /// cuts and witnesses — and both agree with the whole-cone fixpoint
+    /// check. Eviction must actually have happened.
+    #[test]
+    fn evicting_budget_matches_unbounded() {
+        use engine::telemetry::{self, Counter};
+        let counters = |t: &telemetry::Telemetry| {
+            [
+                t.counter(Counter::FrtSweeps),
+                t.counter(Counter::FrtRequeuedGates),
+                t.counter(Counter::FlowAugmentations),
+            ]
+        };
+        let sorted = |cuts: Vec<Option<ExpCut>>| -> Vec<Option<Vec<(NodeId, u64)>>> {
+            cuts.into_iter()
+                .map(|c| {
+                    c.map(|c| {
+                        let mut s: Vec<_> = c.signals.iter().map(|s| (s.node, s.weight)).collect();
+                        s.sort_unstable();
+                        s
+                    })
+                })
+                .collect()
+        };
+        let mut evicted = 0;
+        for seed in 0..6u64 {
+            let fsm = workloads::generate_fsm(&workloads::FsmSpec {
+                name: format!("ev{seed}"),
+                states: 3 + seed as usize,
+                inputs: 1 + seed as usize % 3,
+                decoded: 2,
+                outputs: 1 + seed as usize % 2,
+                encoding: if seed % 2 == 0 {
+                    workloads::Encoding::OneHot
+                } else {
+                    workloads::Encoding::Binary
+                },
+                registered_inputs: seed % 2 == 1,
+                seed,
+            });
+            for k in 3..=5 {
+                let prep = crate::prepare(&fsm, k).unwrap();
+                let upper = flowmap::flowmap_frt(&prep, k).unwrap().period;
+                let keep = test_budget::with(usize::MAX, || FrtContext::new(&prep, k, 32));
+                let churn = test_budget::with(0, || FrtContext::new(&prep, k, 32));
+                for phi in 1..=upper {
+                    telemetry::reset();
+                    let a = keep.check(phi);
+                    let ta = counters(&telemetry::take());
+                    let b = churn.check(phi);
+                    let tb = counters(&telemetry::take());
+                    let tag = format!("seed={seed} k={k} phi={phi}");
+                    assert_eq!(a.feasible, b.feasible, "{tag}");
+                    assert_eq!(a.iterations, b.iterations, "{tag}");
+                    assert_eq!(a.labels.ls, b.labels.ls, "{tag}");
+                    assert_eq!(a.labels.r, b.labels.r, "{tag}");
+                    assert_eq!(ta, tb, "{tag}");
+                    // Every exit leaves the balls within budget.
+                    assert_eq!(churn.live_balls(), 0, "{tag}");
+                    if a.feasible {
+                        assert_uncapped_fixpoint(&keep, &a.labels, phi);
+                        assert_eq!(
+                            sorted(keep.final_cuts(&a.labels, phi)),
+                            sorted(churn.final_cuts(&b.labels, phi)),
+                            "{tag}"
+                        );
+                    }
+                    assert_eq!(
+                        keep.infeasibility_witness(phi),
+                        churn.infeasibility_witness(phi),
+                        "{tag}"
+                    );
+                }
+                assert!(keep.live_balls() > 0);
+                evicted += usize::from(churn.live_balls() < keep.live_balls());
             }
         }
+        assert!(evicted > 0);
     }
 
     /// Replays a witness log the way the independent checker does (same
@@ -1148,11 +1359,11 @@ mod tests {
             if script <= LS_NEG_INF {
                 continue;
             }
-            let exp = ctx.expanded(v).expect("uncapped expansion");
             let frt_v = ctx.frt[v.index()];
+            let exp = ExpandedCircuit::build(ctx.circuit, v, frt_v);
             let want = match min_cut_weight_with(
                 &mut scratch,
-                exp,
+                &exp,
                 &labels.ls,
                 phi_i,
                 script,
@@ -1284,34 +1495,5 @@ mod tests {
         // An ample cap reports nothing.
         let ctx2 = FrtContext::new(&c, 2, 64);
         assert_eq!(ctx2.frt_capped_gates, 0);
-    }
-
-    #[test]
-    fn expansion_cap_is_counted_and_reported() {
-        let c = chainy();
-        engine::telemetry::reset();
-        let full = FrtContext::new(&c, 3, 32);
-        assert_eq!(
-            engine::telemetry::take().counter(engine::telemetry::Counter::ExpandCapped),
-            0
-        );
-        let gates = c.gate_ids().filter(|&v| full.expanded(v).is_some()).count() as u64;
-        assert!(gates > 0);
-        let sink = engine::log::MemorySink::new();
-        engine::log::set_sink(Box::new(sink.clone()));
-        // A one-node cap leaves no gate's expanded circuit standing.
-        let capped = FrtContext::new_capped(&c, 3, 32, 1);
-        engine::log::set_sink(Box::new(std::io::stderr()));
-        assert!(c.gate_ids().all(|v| capped.expanded(v).is_none()));
-        let t = engine::telemetry::take();
-        assert_eq!(t.counter(engine::telemetry::Counter::ExpandCapped), gates);
-        let logged = sink.contents();
-        let warning = logged
-            .lines()
-            .find(|l| l.contains("expanded circuits hit the size cap"))
-            .unwrap_or_else(|| panic!("no cap warning in {logged:?}"));
-        assert!(warning.contains("\"level\":\"warn\""), "{warning}");
-        assert!(warning.contains(&format!("\"gates\":{gates}")), "{warning}");
-        assert!(warning.contains("\"max_nodes\":1"), "{warning}");
     }
 }

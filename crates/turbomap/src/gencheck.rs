@@ -12,13 +12,12 @@
 //!
 //! [`GeneralContext`] is the public face of that check. The iteration
 //! itself is [`FrtContext`]'s, run under its general rule: the same
-//! expansion cache, level-synchronized sweeps and final-cut extraction
+//! demand-grown balls, level-synchronized sweeps and final-cut extraction
 //! (the module docs of [`crate::frtcheck`] list the five differences).
 
 use crate::cutsearch::ExpCut;
-use crate::expand::ExpandedCircuit;
 use crate::frtcheck::FrtContext;
-use netlist::{Circuit, NodeId};
+use netlist::Circuit;
 
 /// Outcome of one general-label check.
 #[derive(Debug, Clone)]
@@ -35,19 +34,15 @@ pub struct GeneralCheck {
 pub struct GeneralContext<'a>(FrtContext<'a>);
 
 impl<'a> GeneralContext<'a> {
-    /// Builds expanded circuits with the weight horizon for every gate
-    /// that reaches a PO (dead logic is skipped; see DESIGN.md).
+    /// Prepares the label check of every gate that reaches a PO, whose
+    /// cut queries grow `F_v` to the weight horizon (dead logic is
+    /// skipped; see DESIGN.md).
     ///
     /// # Panics
     ///
     /// Panics on combinational cycles.
     pub fn new(circuit: &'a Circuit, k: usize, horizon: u64) -> GeneralContext<'a> {
         GeneralContext(FrtContext::general(circuit, k, horizon))
-    }
-
-    /// The expanded circuit of a live gate (None when dead or capped).
-    pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        self.0.expanded(v)
     }
 
     /// Runs the label iteration for one target period (serial,
@@ -153,7 +148,9 @@ mod tests {
         let ctx = GeneralContext::new(&c, 2, 16);
         assert!(ctx.check(3).feasible);
         assert!(!netlist::po_reachable(&c)[dmix.index()]);
-        assert!(ctx.expanded(dmix).is_none());
+        // Never swept, so never queried: its label stays at −∞.
+        let res = ctx.check(3);
+        assert_eq!(res.labels[dmix.index()], crate::frtcheck::LS_NEG_INF);
     }
 
     #[test]

@@ -98,6 +98,15 @@ pub fn collect_roots(
     c: &Circuit,
     cuts: &[Option<ExpCut>],
 ) -> Result<HashMap<NodeId, ExpCut>, GenerateError> {
+    collect_roots_with(c, |v| cuts[v.index()].clone())
+}
+
+/// [`collect_roots`] asking `cut_of` for each root's cut as the FIFO
+/// reaches it, so only the instantiated roots ever get one.
+pub(crate) fn collect_roots_with(
+    c: &Circuit,
+    mut cut_of: impl FnMut(NodeId) -> Option<ExpCut>,
+) -> Result<HashMap<NodeId, ExpCut>, GenerateError> {
     let mut roots: HashMap<NodeId, ExpCut> = HashMap::new();
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     for &po in c.outputs() {
@@ -110,11 +119,9 @@ pub fn collect_roots(
         if roots.contains_key(&v) {
             continue;
         }
-        let cut = cuts[v.index()]
-            .clone()
-            .ok_or_else(|| GenerateError::MissingCut {
-                node: c.node(v).name().to_string(),
-            })?;
+        let cut = cut_of(v).ok_or_else(|| GenerateError::MissingCut {
+            node: c.node(v).name().to_string(),
+        })?;
         for s in &cut.signals {
             if c.node(s.node).is_gate() && !roots.contains_key(&s.node) {
                 queue.push_back(s.node);

@@ -40,19 +40,18 @@ fn ceil_div(a: i64, b: i64) -> i64 {
 
 /// Plans roots and cuts with slack relaxation.
 ///
-/// `expanded(v)` supplies the expanded circuit of a gate; `ls` holds the
-/// converged labels (`l^s` for FRT, plain `l` for general); `weight_cap`
-/// maps a gate and its candidate height bound to the maximal cone weight
-/// to try (`frt(v)` for FRT, the horizon for general); `forward_only`
-/// caps all bounds at `Φ` so every `Ɍ ≤ 0`.
+/// `ls` holds the converged labels (`l^s` for FRT, plain `l` for
+/// general); `weight_cap` maps a gate to the maximal cone weight to try
+/// (`frt(v)` for FRT, the horizon for general), which is also the bound
+/// its `F_v` is built to, whole, when the planner first visits it;
+/// `forward_only` caps all bounds at `Φ` so every `Ɍ ≤ 0`.
 ///
 /// # Panics
 ///
 /// Panics when no cut exists within the bounds (would contradict the
 /// label computation's convergence).
-pub fn plan_mapping<'a>(
+pub fn plan_mapping(
     c: &Circuit,
-    expanded: impl Fn(NodeId) -> Option<&'a ExpandedCircuit>,
     ls: &[i64],
     phi: u64,
     k: usize,
@@ -96,8 +95,8 @@ pub fn plan_mapping<'a>(
                 continue; // still valid under the (possibly lowered) bound
             }
         }
-        let exp = expanded(v).expect("live gates have expanded circuits");
         let cap = weight_cap(v);
+        let exp = ExpandedCircuit::build(c, v, cap);
         let mut picked = None;
         for w in 0..=cap {
             let hb = if forward_only {
@@ -105,14 +104,14 @@ pub fn plan_mapping<'a>(
             } else {
                 bound
             };
-            if let Some(cut) = find_cut(exp, ls, phi_i, hb, w, k) {
+            if let Some(cut) = find_cut(&exp, ls, phi_i, hb, w, k) {
                 picked = Some((hb, w, cut));
                 break;
             }
             if !forward_only {
                 // General retiming: the bound does not depend on w, so a
                 // single attempt at the full horizon settles existence.
-                if let Some(cut) = find_cut(exp, ls, phi_i, hb, cap, k) {
+                if let Some(cut) = find_cut(&exp, ls, phi_i, hb, cap, k) {
                     picked = Some((hb, cap, cut));
                 }
                 break;
@@ -219,15 +218,7 @@ mod tests {
             .find(|&p| ctx.check(p).feasible)
             .expect("some period feasible");
         let res = ctx.check(phi);
-        let plan = plan_mapping(
-            &c,
-            |v| ctx.expanded(v),
-            &res.labels.ls,
-            phi,
-            2,
-            |v| ctx.frt[v.index()],
-            true,
-        );
+        let plan = plan_mapping(&c, &res.labels.ls, phi, 2, |v| ctx.frt[v.index()], true);
         // Every PO driver is a root; every cut signal driver is a root.
         for &po in c.outputs() {
             let d = c.edge(c.node(po).fanin()[0]).from();
@@ -251,15 +242,7 @@ mod tests {
         let ctx = FrtContext::new(&c, 2, 8);
         let phi = (1..=8).find(|&p| ctx.check(p).feasible).unwrap();
         let res = ctx.check(phi);
-        let plan = plan_mapping(
-            &c,
-            |v| ctx.expanded(v),
-            &res.labels.ls,
-            phi,
-            2,
-            |v| ctx.frt[v.index()],
-            true,
-        );
+        let plan = plan_mapping(&c, &res.labels.ls, phi, 2, |v| ctx.frt[v.index()], true);
         let _ = plan;
         // (The planner panics internally if a bound drops below L^s.)
     }

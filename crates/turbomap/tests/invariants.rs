@@ -32,10 +32,7 @@ fn expanded_path_weights_exact() {
     for c in circuits() {
         let prep = turbomap::prepare(&c, 4).unwrap();
         for v in prep.gate_ids().take(6) {
-            let exp = match ExpandedCircuit::build(&prep, v, 3, 20_000) {
-                Some(e) => e,
-                None => continue,
-            };
+            let exp = ExpandedCircuit::build(&prep, v, 3);
             for i in 0..exp.len() {
                 for &f in exp.fanins(i) {
                     let child = exp.node(f as usize);

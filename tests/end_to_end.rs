@@ -108,7 +108,7 @@ fn fig3_fig4_absorption() {
     let frt3 = retiming::max_forward_retiming_values(&f3);
     let c3 = f3.find("c").unwrap();
     assert_eq!(frt3[c3.index()], 0);
-    let exp3 = ExpandedCircuit::build(&f3, c3, frt3[c3.index()], 10_000).unwrap();
+    let exp3 = ExpandedCircuit::build(&f3, c3, frt3[c3.index()]);
     let ls3 = vec![0i64; f3.num_nodes()];
     let cut3 = find_cut(&exp3, &ls3, 10, 100, 0, 3).unwrap();
     let b3 = f3.find("b").unwrap();
@@ -119,7 +119,7 @@ fn fig3_fig4_absorption() {
     let frt4 = retiming::max_forward_retiming_values(&f4);
     let c4 = f4.find("c").unwrap();
     assert_eq!(frt4[c4.index()], 1);
-    let exp4 = ExpandedCircuit::build(&f4, c4, frt4[c4.index()], 10_000).unwrap();
+    let exp4 = ExpandedCircuit::build(&f4, c4, frt4[c4.index()]);
     // Force absorption: make a and b uncuttable via high labels.
     let mut ls4 = vec![0i64; f4.num_nodes()];
     ls4[f4.find("a").unwrap().index()] = 1000;
